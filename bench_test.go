@@ -389,7 +389,7 @@ func BenchmarkDistributedExecution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := nw.Execute(res.Extended, consts); err != nil {
+		if _, _, err := nw.ExecuteParallelCtx(nil, res.Extended, consts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,33 +1,29 @@
 // Command engbench measures closed-loop engine throughput: N client
 // goroutines issue TPC-H queries back-to-back against one engine, and the
-// harness reports queries/sec and mean latency per configuration — the
-// columnar batch-streaming pipeline vs the legacy materializing interior
-// and vs the batch pipeline with per-value crypto forced
-// (batch-valuecrypto-*, isolating the batched crypto engine on encrypted
-// scenarios), with cold (cache disabled, every query re-runs the full
-// authorize/extend/assign/key pipeline) vs cached (authorized plans
-// reused) planning. With -stream it additionally drives Engine.QueryStream
-// and reports mean time-to-first-row next to full latency. With -interior
-// it also records the centralized interior microbenchmark (columnar
-// pipeline vs row-at-a-time oracle per query, no distribution or planning
-// in the way). -workers sweeps the morsel worker pool: each count > 1 adds
-// a batch-cached-wN closed-loop cell and a columnar-wN interior cell, so
-// the report shows how fragment-internal parallelism scales with cores
-// (bounded by the recorded GOMAXPROCS). -membudget sweeps per-query memory
-// budgets: each adds a batch-cached-mb<N> cell executing with grace-hash
-// spilling to disk whenever live operator state would cross the budget, with
-// the per-query spill volume recorded next to throughput. -partial adds a
+// harness reports queries/sec and mean latency per configuration — cold
+// (cache disabled, every query re-runs the full authorize/extend/assign/key
+// pipeline) vs cached (authorized plans reused) planning. With -stream it
+// additionally drives Engine.QueryStream and reports mean time-to-first-row
+// next to full latency. With -interior it also records the centralized
+// interior microbenchmark (columnar pipeline vs row-at-a-time oracle per
+// query, no distribution or planning in the way). -workers sweeps the
+// morsel worker pool: each count > 1 adds a batch-cached-wN closed-loop
+// cell and a columnar-wN interior cell, so the report shows how
+// fragment-internal parallelism scales with cores (bounded by the recorded
+// GOMAXPROCS). -membudget sweeps per-query memory budgets: each adds a
+// batch-cached-mb<N> cell executing with grace-hash spilling to disk
+// whenever live operator state would cross the budget, with the per-query
+// spill volume recorded next to throughput. -partial adds a
 // batch-cached-partial cell with pre-shuffle partial aggregation (compare
-// bytes_per_query), and -adaptive the adaptive batch-sizing cells.
-// -paillier-bits (alias -paillierbits) sizes the Paillier primes and
-// -cryptoworkers the intra-batch crypto worker pool. -planner runs the
-// planner-mode A/B sweep over the full 22-query workload: pure planning
-// time per query for cost, greedy, and fed (observed-override) planning,
-// plus closed-loop end-to-end cells per scenario × mode with the adaptive
-// re-plan count recorded next to throughput (-planner-scenarios restricts
-// the scenario list). Results are written as JSON (BENCH_engine.json in the
-// repo records the measured comparison; docs/BENCHMARKS.md explains every
-// cell).
+// bytes_per_query). -paillier-bits (alias -paillierbits) sizes the Paillier
+// primes and -cryptoworkers the intra-batch crypto worker pool. -planner
+// runs the planner-mode A/B sweep over the full 22-query workload: pure
+// planning time per query for cost, greedy, and fed (observed-override)
+// planning, plus closed-loop end-to-end cells per scenario × mode with the
+// adaptive re-plan count recorded next to throughput (-planner-scenarios
+// restricts the scenario list). Results are written as JSON
+// (BENCH_engine.json in the repo records the measured comparison;
+// docs/BENCHMARKS.md explains every cell).
 //
 //	engbench -scenario UAPenc -sf 0.001 -duration 3s -clients 1,2 -workers 1,4 -membudget 65536 -interior -out BENCH_engine.json
 package main
@@ -183,7 +179,6 @@ func main() {
 		plannerS = flag.String("planner-scenarios", "UA,UAPenc,UAPmix", "comma-separated scenario list for the -planner end-to-end cells")
 		budgetsF = flag.String("membudget", "", "comma-separated per-query memory budgets in bytes to sweep: each adds a batch-cached-mb<N> cell executing under that budget with grace-hash spilling to disk")
 		partialF = flag.Bool("partial", false, "also measure pre-shuffle partial aggregation (batch-cached-partial cell; compare bytes_per_query against batch-cached)")
-		adaptive = flag.Bool("adaptive", false, "also measure adaptive batch sizing (batch-cached-adaptive cell, plus batch-stream-adaptive with -stream)")
 		concF    = flag.Int("concurrency", 0, "overload sweep: cap the engine at this many in-flight queries (queue the same, 100ms wait) and offer 1x/2x/4x closed-loop clients, recording q/s and rejection rate per offered load (0 = off)")
 		rtt      = flag.Duration("rtt", 40*time.Millisecond, "simulated inter-subject link RTT (0 disables)")
 		mbps     = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
@@ -263,23 +258,16 @@ func main() {
 	}
 
 	type config struct {
-		name          string
-		materializing bool
-		valueCrypto   bool
-		cached        bool
-		stream        bool
-		workers       int
-		dictOff       bool  // force dictionary promotion off for this cell
-		memBudget     int64 // per-query budget in bytes (0 = unbudgeted)
-		partial       bool  // pre-shuffle partial aggregation
-		adaptive      bool  // adaptive scan batch sizing
+		name      string
+		cached    bool
+		stream    bool
+		workers   int
+		dictOff   bool  // force dictionary promotion off for this cell
+		memBudget int64 // per-query budget in bytes (0 = unbudgeted)
+		partial   bool  // pre-shuffle partial aggregation
 	}
 	configs := []config{
-		{name: "materializing-cold", materializing: true},
-		{name: "batch-valuecrypto-cold", valueCrypto: true},
 		{name: "batch-cold"},
-		{name: "materializing-cached", materializing: true, cached: true},
-		{name: "batch-valuecrypto-cached", valueCrypto: true, cached: true},
 		{name: "batch-cached", cached: true},
 		{name: "batch-stream-cached", cached: true, stream: true},
 	}
@@ -310,15 +298,6 @@ func main() {
 	if *partialF {
 		configs = append(configs, config{name: "batch-cached-partial", cached: true, partial: true})
 	}
-	// The -adaptive cells: scans start at small windows and grow toward the
-	// configured batch size; the streaming variant shows the time-to-first-row
-	// effect.
-	if *adaptive {
-		configs = append(configs, config{name: "batch-cached-adaptive", cached: true, adaptive: true})
-		if *stream {
-			configs = append(configs, config{name: "batch-stream-adaptive", cached: true, stream: true, adaptive: true})
-		}
-	}
 	for _, c := range configs {
 		if c.stream && !*stream {
 			continue
@@ -332,8 +311,6 @@ func main() {
 			restoreDict = &old
 		}
 		cfg := engine.TPCHConfig(tpch.Scenario(*scenario), *sf, *seed)
-		cfg.Materializing = c.materializing
-		cfg.ValueCrypto = c.valueCrypto
 		cfg.BatchSize = *batch
 		cfg.PaillierBits = *paillier
 		cfg.CryptoWorkers = *cworkers
@@ -341,7 +318,6 @@ func main() {
 		cfg.LinkDelay = delay
 		cfg.MemBudget = c.memBudget
 		cfg.PartialShuffle = c.partial
-		cfg.AdaptiveBatch = c.adaptive
 		if c.memBudget > 0 {
 			dir, err := os.MkdirTemp("", "engbench-spill-*")
 			if err != nil {

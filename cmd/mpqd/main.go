@@ -53,8 +53,6 @@ func main() {
 		scenario   = flag.String("scenario", "UAPenc", "authorization scenario: UA, UAPenc, or UAPmix")
 		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		seed       = flag.Int64("seed", 1, "data generator seed")
-		sequential = flag.Bool("sequential", false, "use the sequential distributed runtime")
-		mat        = flag.Bool("materializing", false, "use the legacy whole-relation interior instead of the batch pipeline")
 		batchSize  = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
 		workers    = flag.Int("workers", 0, "morsel worker pool size per fragment (0 or 1 = single-threaded)")
 		cacheSize  = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
@@ -64,7 +62,6 @@ func main() {
 		memBudget  = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
 		spillDir   = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
 		partial    = flag.Bool("partial", false, "fold pre-shuffle partial aggregates at producing subjects")
-		adaptive   = flag.Bool("adaptive", false, "adaptive scan batch sizing (grow from small first batches)")
 		plannerMod = flag.String("planner", "", "planner mode: cost (default), greedy, or adaptive (greedy + re-optimization of cached plans from observed cardinalities)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		timeout    = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
@@ -85,8 +82,6 @@ func main() {
 
 	log.Printf("mpqd: generating TPC-H data (sf=%g seed=%d scenario=%s)", *sf, *seed, sc)
 	cfg := engine.TPCHConfig(sc, *sf, *seed)
-	cfg.Sequential = *sequential
-	cfg.Materializing = *mat
 	cfg.BatchSize = *batchSize
 	cfg.Workers = *workers
 	cfg.CacheSize = *cacheSize
@@ -94,7 +89,6 @@ func main() {
 	cfg.MemBudget = *memBudget
 	cfg.SpillDir = *spillDir
 	cfg.PartialShuffle = *partial
-	cfg.AdaptiveBatch = *adaptive
 	cfg.PlannerMode = *plannerMod
 	cfg.QueryTimeout = *timeout
 	cfg.MaxConcurrent = *maxConc

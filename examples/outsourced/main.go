@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -104,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := nw.Execute(res.Extended, consts)
+	got, _, err := nw.ExecuteParallelCtx(context.Background(), res.Extended, consts)
 	if err != nil {
 		log.Fatal(err)
 	}

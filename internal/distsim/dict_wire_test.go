@@ -51,18 +51,19 @@ func TestDictWireAccounting(t *testing.T) {
 		t.Errorf("dict wire bytes = %d, want %d", got, 2*first+second)
 	}
 
-	// The non-dict layout of the same cells matches rowsBytes cell for cell.
+	// The non-dict layout of the same cells matches valueBytes cell for
+	// cell.
 	vals := make([]exec.Value, len(codes))
-	rows := make([][]exec.Value, len(codes))
+	var cells int64
 	for i, c := range codes {
 		vals[i] = exec.String(dict[c])
-		rows[i] = []exec.Value{vals[i]}
+		cells += valueBytes(vals[i])
 	}
 	pb := &exec.Batch{Cols: []exec.Column{exec.NewColumn(vals)}, N: len(codes)}
 	if pb.Cols[0].Kind == exec.ColDict {
 		t.Fatal("NewColumn promoted; promotion belongs to the table cache")
 	}
-	if got := batchBytes(pb, newDictLedger()); got != rowsBytes(rows) || got != plain {
+	if got := batchBytes(pb, newDictLedger()); got != cells || got != plain {
 		t.Errorf("plain batch = %d bytes, want %d", got, plain)
 	}
 }
@@ -134,7 +135,7 @@ func runStreamTotal(t *testing.T) ([]string, int64) {
 		t.Fatal(err)
 	}
 	var rows [][]exec.Value
-	schema, _, err := nw.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+	schema, _, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 		rows = append(rows, b...)
 		return nil
 	})

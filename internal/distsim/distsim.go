@@ -1,8 +1,6 @@
 package distsim
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -18,42 +16,30 @@ import (
 // LinkDelay models the wide-area links between subjects: every transfer
 // stalls for RTT plus the serialization time of its bytes before the
 // consumer proceeds. The zero value (nil pointer on the network) keeps the
-// seed's instantaneous links. Under the parallel runtime, transfers on
-// independent subtrees overlap each other and the producers' computation,
-// exactly as in a real multi-cloud deployment.
+// seed's instantaneous links. Transfers on independent subtrees overlap
+// each other and the producers' computation, exactly as in a real
+// multi-cloud deployment: RTT is paid once per edge, serialization time per
+// shipped batch.
 type LinkDelay struct {
 	RTT         time.Duration
 	BytesPerSec float64
 }
 
-func (d *LinkDelay) delayFor(bytes int64) time.Duration {
-	if d == nil {
-		return 0
-	}
-	dur := d.RTT
-	if d.BytesPerSec > 0 {
-		dur += time.Duration(float64(bytes) / d.BytesPerSec * float64(time.Second))
-	}
-	return dur
-}
-
 // Transfer records one inter-subject shipment of an intermediate relation:
-// one ledger entry per cross-subject plan edge, whether the relation moved
-// in one piece (sequential and materializing runtimes) or as a stream of
-// row batches (Batches > 1) whose bytes were accounted per batch.
+// one ledger entry per cross-subject plan edge, streamed as row batches
+// whose bytes were accounted per batch.
 type Transfer struct {
 	From, To authz.Subject
 	Rows     int
 	Bytes    int64
-	Batches  int    // batches the shipment was split into (0 or 1 = whole)
+	Batches  int    // batches the shipment was split into
 	Op       string // the operation consuming the shipment
 }
 
 // Network is the set of subjects and the transfer ledger of one execution.
-// Registration (AddSubject, Subject, DistributeKeys) and the parallel
-// runtime are safe for concurrent use; the sequential Execute mutates the
-// subjects' executors and must not run concurrently on the same network —
-// long-lived services execute every run on a Clone instead.
+// Registration (AddSubject, Subject, DistributeKeys) and the runtime are
+// safe for concurrent use; long-lived services still execute every run on
+// a Clone so per-run settings (Trace) and the ledger stay private.
 type Network struct {
 	mu       sync.Mutex // guards subjects
 	subjects map[authz.Subject]*exec.Executor
@@ -64,16 +50,9 @@ type Network struct {
 	// BatchSize is the pipeline batch size handed to subject executors and
 	// the streaming exchanges (0 means exec.DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the legacy whole-relation runtime: subject
-	// executors evaluate row at a time and ExecuteParallel ships complete
-	// sub-results. Kept as the equivalence oracle and benchmark baseline.
-	Materializing bool
 	// CryptoWorkers sizes the intra-batch crypto worker pool of every
 	// subject executor (0 = GOMAXPROCS, negative disables).
 	CryptoWorkers int
-	// ValueCrypto forces subject executors onto the per-value crypto path
-	// (the batched-crypto equivalence oracle and benchmark baseline).
-	ValueCrypto bool
 	// Workers sizes each subject's morsel worker pool: fragments split
 	// their table-anchored pipeline segments into fixed row-ranges executed
 	// concurrently (exec.Executor.Workers). Every fragment worker gets its
@@ -98,9 +77,6 @@ type Network struct {
 	// the edge ships one partial row per group instead of the raw rows, and
 	// the consumer merges the partials. Streaming runtime only.
 	PartialShuffle bool
-	// AdaptiveBatch starts every subject's table scans at a small batch and
-	// grows the window geometrically to BatchSize.
-	AdaptiveBatch bool
 	// Trace, when set, is handed to every subject executor (operator spans)
 	// and receives one obs.Edge per cross-subject transfer, unifying the
 	// ledger's byte accounting with the simulated network waits a query
@@ -171,27 +147,21 @@ func (nw *Network) Clone() *Network {
 		preRings:       nw.preRings,
 		Delay:          nw.Delay,
 		BatchSize:      nw.BatchSize,
-		Materializing:  nw.Materializing,
 		CryptoWorkers:  nw.CryptoWorkers,
-		ValueCrypto:    nw.ValueCrypto,
 		Workers:        nw.Workers,
 		MorselRows:     nw.MorselRows,
 		MemBudget:      nw.MemBudget,
 		SpillDir:       nw.SpillDir,
 		PartialShuffle: nw.PartialShuffle,
-		AdaptiveBatch:  nw.AdaptiveBatch,
 		Trace:          nw.Trace,
 		Faults:         nw.Faults,
 	}
 	for s, e := range nw.subjects {
 		ce := e.Clone()
 		ce.BatchSize = nw.BatchSize
-		ce.Materializing = nw.Materializing
 		ce.CryptoWorkers = nw.CryptoWorkers
-		ce.ValueCrypto = nw.ValueCrypto
 		ce.Workers = nw.Workers
 		ce.MorselRows = nw.MorselRows
-		ce.AdaptiveBatch = nw.AdaptiveBatch
 		c.subjects[s] = ce
 	}
 	return c
@@ -265,104 +235,6 @@ func extExecutor(ext *core.ExtendedPlan) func(algebra.Node) authz.Subject {
 	}
 }
 
-// Execute runs the extended plan across the network: every node is
-// evaluated by its executing subject, and operand relations produced by a
-// different subject are shipped (and recorded in the ledger). consts holds
-// the dispatched encrypted predicate constants.
-func (nw *Network) Execute(ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, error) {
-	return nw.ExecuteCtx(nil, ext, consts)
-}
-
-// ExecuteCtx is Execute under a context: cancellation is probed before every
-// node evaluation and at every batch boundary inside the subject executors,
-// a panic anywhere in evaluation is caught and returned as an
-// *exec.PanicError, and spill runs abandoned on the abort path are swept.
-// A nil context behaves exactly like Execute.
-func (nw *Network) ExecuteCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache) (_ *exec.Table, err error) {
-	executor := extExecutor(ext)
-	results := make(map[algebra.Node]*exec.Table)
-	runMem, runSpill, sweep := nw.runResources()
-	defer sweep()
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.NewPanicError("sequential execution", r)
-		}
-	}()
-	runCtx := ctx
-	if ctx != nil && ctx.Done() == nil {
-		runCtx = nil // context.Background etc: keep the zero-cost path
-	}
-	var faultOps *exec.FaultPoints
-	if nw.Faults != nil {
-		faultOps = nw.Faults.Ops
-	}
-	var evaluate func(n algebra.Node) error
-	evaluate = func(n algebra.Node) error {
-		if runCtx != nil {
-			select {
-			case <-runCtx.Done():
-				return context.Cause(runCtx)
-			default:
-			}
-		}
-		subj := executor(n)
-		ex := nw.Subject(subj)
-		ex.Consts = consts
-		ex.BatchSize = nw.BatchSize
-		ex.Materializing = nw.Materializing
-		ex.CryptoWorkers = nw.CryptoWorkers
-		ex.ValueCrypto = nw.ValueCrypto
-		ex.Workers = nw.Workers
-		ex.MorselRows = nw.MorselRows
-		ex.Mem = runMem
-		ex.Spill = runSpill
-		ex.AdaptiveBatch = nw.AdaptiveBatch
-		ex.Trace = nw.Trace
-		ex.Ctx = runCtx
-		ex.Faults = faultOps
-		for name, fn := range nw.UDFs {
-			ex.UDFs[name] = fn
-		}
-		if ex.Materialized == nil {
-			ex.Materialized = make(map[algebra.Node]*exec.Table)
-		}
-		for _, c := range n.Children() {
-			if err := evaluate(c); err != nil {
-				return err
-			}
-			ct := results[c]
-			if cs := executor(c); cs != subj {
-				t := Transfer{
-					From: cs, To: subj, Rows: ct.Len(), Bytes: tableBytes(ct), Op: n.Op(),
-				}
-				nw.record(t)
-				d := nw.Delay.delayFor(t.Bytes)
-				if d > 0 {
-					time.Sleep(d)
-				}
-				if nw.Trace != nil {
-					nw.Trace.AddEdge(obs.Edge{
-						From: string(cs), To: string(subj), Op: n.Op(),
-						Rows: int64(t.Rows), Bytes: t.Bytes, Batches: 1,
-						WaitNanos: d.Nanoseconds(),
-					})
-				}
-			}
-			ex.Materialized[c] = ct
-		}
-		out, err := ex.Run(n)
-		if err != nil {
-			return fmt.Errorf("distsim: %s at %s: %w", n.Op(), subj, err)
-		}
-		results[n] = out
-		return nil
-	}
-	if err := evaluate(ext.Root); err != nil {
-		return nil, err
-	}
-	return results[ext.Root], nil
-}
-
 // TotalBytes returns the total bytes shipped between subjects.
 func (nw *Network) TotalBytes() int64 {
 	var total int64
@@ -383,21 +255,6 @@ func (nw *Network) BytesBetween(from, to authz.Subject) int64 {
 	return total
 }
 
-// tableBytes measures the encoded size of a relation: fixed-width scalars,
-// string lengths, ciphertext lengths, Paillier group element sizes.
-func tableBytes(t *exec.Table) int64 { return rowsBytes(t.Rows) }
-
-// rowsBytes measures the encoded size of a batch of rows.
-func rowsBytes(rows [][]exec.Value) int64 {
-	var total int64
-	for _, row := range rows {
-		for _, v := range row {
-			total += valueBytes(v)
-		}
-	}
-	return total
-}
-
 // dictLedger tracks, for one edge, which dictionaries have already crossed
 // it: a dictionary's content ships once per edge, while every batch ships
 // only its 4-byte codes. Each producer goroutine owns one edge and one
@@ -410,9 +267,8 @@ func newDictLedger() *dictLedger { return &dictLedger{seen: make(map[any]bool)} 
 
 // batchBytes measures the encoded size of a columnar batch without
 // materializing rows: the streaming runtime accounts every shipped batch
-// with it. For the non-dict layouts it matches rowsBytes cell for cell over
-// the same logical rows, so streaming and materializing runs ledger
-// identical byte counts; dict-encoded columns instead account codes per
+// with it. For the non-dict layouts it matches valueBytes cell for cell
+// over the same logical rows; dict-encoded columns instead account codes per
 // batch plus each dictionary's content once per edge (dl), which is the
 // point of shipping them encoded.
 func batchBytes(b *exec.Batch, dl *dictLedger) int64 {

@@ -7,16 +7,15 @@
 // verifies end to end that the authorization-driven extension computes the
 // same answers as a trusted centralized execution.
 //
-// Three runtimes execute one prepared Network:
-//
-//   - Execute: sequential, fragment by fragment, materializing each
-//     sub-result before shipping it (the reference runtime).
-//   - ExecuteStream: one worker goroutine per fragment, exchanging columnar
-//     exec.Batch values over bounded channels; transfer latency overlaps
-//     upstream computation batch by batch, and the ledger accounts each
-//     edge's bytes per shipped batch (batchBytes walks the column vectors).
-//   - ExecuteParallel: ExecuteStream with the root materialized back into a
-//     table, for callers that want the whole relation.
+// One runtime executes a prepared Network: ExecuteStreamCtx runs one
+// worker goroutine per same-subject plan fragment, exchanging columnar
+// exec.Batch values over bounded channels. Transfer latency overlaps
+// upstream computation batch by batch, and the ledger accounts each edge's
+// bytes per shipped batch (batchBytes walks the column vectors).
+// ExecuteParallelCtx is the same run with the root's batches collected into
+// one table, for callers that want the whole relation. The tests check the
+// runtime against internal/oracle, which evaluates the same extended plan
+// centrally.
 //
 // See docs/ARCHITECTURE.md at the repository root for how fragments,
 // channel exchanges, and the transfer ledger fit into the full pipeline.

@@ -49,7 +49,7 @@ func TestLedgerConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Execute(ext, consts); err != nil {
+	if _, _, err := nw.ExecuteParallelCtx(nil, ext, consts); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,16 +14,16 @@ import (
 	"mpq/internal/obs"
 )
 
-// The streaming runtime replaces the materializing fragment workers with a
-// fully pipelined exchange: each fragment compiles its subtree into a batch
-// operator stream whose frontier inputs are channel-fed pipeline sources,
-// and ships every produced batch to its consumer as soon as it exists. A
-// provider can therefore start probing a join while the other side's scan
-// is still running, and wide-area transfer latency overlaps upstream
-// computation batch by batch (RTT is paid once per edge, serialization per
-// batch). The ledger still carries exactly one Transfer per cross-subject
-// plan edge — the multiset distributed accounting tests check — with the
-// per-batch bytes summed and the batch count recorded.
+// The runtime is a fully pipelined exchange: each fragment compiles its
+// subtree into a batch operator stream whose frontier inputs are
+// channel-fed pipeline sources, and ships every produced batch to its
+// consumer as soon as it exists. A provider can therefore start probing a
+// join while the other side's scan is still running, and wide-area
+// transfer latency overlaps upstream computation batch by batch (RTT is
+// paid once per edge, serialization per batch). The ledger carries exactly
+// one Transfer per cross-subject plan edge — the multiset the distributed
+// accounting tests check against the oracle — with the per-batch bytes
+// summed and the batch count recorded.
 
 // streamBuffer is the per-edge channel depth: enough batches in flight to
 // overlap transfer and computation without unbounded buffering.
@@ -101,26 +101,23 @@ func (nw *Network) partialEdgeFor(f *fragment, in fragInput) *partialEdge {
 	return found
 }
 
-// ExecuteStream runs the extended plan across the network with one worker
-// goroutine per fragment, exchanging row batches over channels. Every batch
-// of the root fragment's output is handed to sink in production order; the
-// returned schema describes those rows. The transfers of this run (one per
-// cross-subject edge, bytes accounted per batch) are returned and appended
-// to the network ledger. The network is not otherwise mutated, so
-// concurrent ExecuteStream calls on one prepared network are safe.
-func (nw *Network) ExecuteStream(ext *core.ExtendedPlan, consts exec.ConstCache, sink func(rows [][]exec.Value) error) ([]algebra.Attr, []Transfer, error) {
-	return nw.ExecuteStreamCtx(nil, ext, consts, sink)
-}
-
-// ExecuteStreamCtx is ExecuteStream under a context. Cancellation (or
-// deadline expiry) aborts the run within one batch of work: a watcher
-// closes the run's done channel, unblocking every exchange send and
-// receive, while each fragment executor probes the context at its own batch
-// boundaries. A panic on any fragment goroutine is caught at the fragment
-// boundary and surfaces as that fragment's *exec.PanicError instead of
-// killing the process, and spill runs abandoned on any abort path are swept
-// once every goroutine has stopped. A nil context (or one that can never be
-// cancelled) costs nothing over ExecuteStream.
+// ExecuteStreamCtx runs the extended plan across the network with one
+// worker goroutine per fragment, exchanging row batches over channels.
+// Every batch of the root fragment's output is handed to sink in
+// production order; the returned schema describes those rows. The
+// transfers of this run (one per cross-subject edge, bytes accounted per
+// batch) are returned and appended to the network ledger. The network is
+// not otherwise mutated, so concurrent runs on one prepared network are
+// safe.
+//
+// Cancellation (or deadline expiry) of ctx aborts the run within one batch
+// of work: a watcher closes the run's done channel, unblocking every
+// exchange send and receive, while each fragment executor probes the
+// context at its own batch boundaries. A panic on any fragment goroutine
+// is caught at the fragment boundary and surfaces as that fragment's
+// *exec.PanicError instead of killing the process, and spill runs
+// abandoned on any abort path are swept once every goroutine has stopped.
+// A nil context (or one that can never be cancelled) costs nothing.
 func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache, sink func(rows [][]exec.Value) error) ([]algebra.Attr, []Transfer, error) {
 	runCtx := ctx
 	if ctx != nil && ctx.Done() == nil {
@@ -166,16 +163,13 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			c.UDFs[name] = fn
 		}
 		c.Consts = consts
-		c.Materializing = false
 		c.BatchSize = nw.BatchSize
 		c.CryptoWorkers = nw.CryptoWorkers
-		c.ValueCrypto = nw.ValueCrypto
 		c.Workers = nw.Workers
 		c.MorselRows = nw.MorselRows
 		c.Trace = nw.Trace
 		c.Mem = runMem
 		c.Spill = runSpill
-		c.AdaptiveBatch = nw.AdaptiveBatch
 		c.Ctx = runCtx
 		c.Faults = faultOps
 		c.Sources = make(map[algebra.Node]exec.Operator, len(f.inputs))

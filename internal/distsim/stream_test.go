@@ -1,13 +1,17 @@
 package distsim
 
 import (
+	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
 
 	"mpq/internal/algebra"
+	"mpq/internal/authz"
 	"mpq/internal/core"
 	"mpq/internal/exec"
+	"mpq/internal/oracle"
 	"mpq/internal/planner"
 )
 
@@ -58,35 +62,50 @@ func streamFixture(t *testing.T) (*Network, *core.ExtendedPlan, *exec.Executor, 
 	return nw, ext, user, consts
 }
 
+// fixtureOracle evaluates the fixture's extended plan on the centralized
+// oracle and returns the decrypted result and the per-edge ledger the
+// distributed runtime must reproduce.
+func fixtureOracle(t *testing.T, ext *core.ExtendedPlan, user *exec.Executor, consts exec.ConstCache) (*exec.Table, map[string]int) {
+	t.Helper()
+	tables := map[authz.Subject]map[string]*exec.Table{
+		"H": {"Hosp": hospTable()},
+		"I": {"Ins": insTable()},
+	}
+	enc, edges, err := oracle.Run(ext, tables, user.Keys, nil, consts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := user.DecryptTable(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := make(map[string]int, len(edges))
+	for _, e := range edges {
+		ledger[e.String()]++
+	}
+	return want, ledger
+}
+
 // TestExecuteStreamMatchesSequential: the batch-streaming fragment workers
-// compute the same relation as the sequential whole-table recursion, and
-// the per-edge ledger entries carry the same row and byte totals with the
-// batch split recorded.
+// compute exactly the relation of the centralized oracle (values and
+// order), and the ledger carries one entry per cross-subject edge with the
+// oracle's (from, to, op, rows), the batch split recorded.
 func TestExecuteStreamMatchesSequential(t *testing.T) {
 	nw, ext, user, consts := streamFixture(t)
-
-	seqNet := nw.Clone()
-	wantEnc, err := seqNet.Execute(ext, consts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := user.DecryptTable(wantEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantEdges := fixtureOracle(t, ext, user, consts)
 
 	run := nw.Clone()
 	run.BatchSize = 3 // force multi-batch exchanges on the 8-row example
 	var rows [][]exec.Value
-	schema, transfers, err := run.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+	schema, transfers, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 		rows = append(rows, b...)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(schema) != len(wantEnc.Schema) {
-		t.Fatalf("schema width %d, want %d", len(schema), len(wantEnc.Schema))
+	if len(schema) != len(want.Schema) {
+		t.Fatalf("schema width %d, want %d", len(schema), len(want.Schema))
 	}
 	gotTbl := exec.NewTable(schema)
 	gotTbl.Rows = rows
@@ -103,26 +122,15 @@ func TestExecuteStreamMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// Ledger: same cross-subject edges with the same totals as sequential
-	// execution, bytes accounted per batch.
-	wantEdges := map[string]int64{}
-	for _, tr := range seqNet.Transfers {
-		wantEdges[string(tr.From)+"→"+string(tr.To)] += int64(tr.Rows)
-	}
-	gotEdges := map[string]int64{}
+	gotEdges := map[string]int{}
 	for _, tr := range transfers {
-		gotEdges[string(tr.From)+"→"+string(tr.To)] += int64(tr.Rows)
+		gotEdges[oracle.Edge{From: tr.From, To: tr.To, Op: tr.Op, Rows: tr.Rows}.String()]++
 		if tr.Rows > run.BatchSize && tr.Batches < 2 {
 			t.Errorf("edge %s→%s shipped %d rows in %d batch(es), expected a split", tr.From, tr.To, tr.Rows, tr.Batches)
 		}
 	}
-	for k, v := range wantEdges {
-		if gotEdges[k] != v {
-			t.Errorf("edge %s shipped %d rows, want %d", k, gotEdges[k], v)
-		}
-	}
-	if len(gotEdges) != len(wantEdges) {
-		t.Errorf("edges = %v, want %v", gotEdges, wantEdges)
+	if !maps.Equal(gotEdges, wantEdges) {
+		t.Errorf("ledger = %v, want %v", gotEdges, wantEdges)
 	}
 }
 
@@ -130,7 +138,7 @@ func TestExecuteStreamMatchesSequential(t *testing.T) {
 // build side is empty must still drain its probe side, or the probe
 // fragment's producer would block forever on the bounded exchange channel
 // (regression test: BatchSize 1 makes the 8-row probe stream exceed the
-// channel depth, so an undrained producer deadlocks ExecuteStream).
+// channel depth, so an undrained producer deadlocks ExecuteStreamCtx).
 func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 	cat := exampleCatalog()
 	// The planner pushes the selection onto Ins, leaving an implicit
@@ -173,7 +181,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 	finished := make(chan error, 1)
 	var rows [][]exec.Value
 	go func() {
-		_, _, err := run.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+		_, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 			rows = append(rows, b...)
 			return nil
 		})
@@ -185,7 +193,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("ExecuteStream deadlocked on an empty product build side")
+		t.Fatal("ExecuteStreamCtx deadlocked on an empty product build side")
 	}
 	if len(rows) != 0 {
 		t.Fatalf("empty product produced %d rows", len(rows))
@@ -197,16 +205,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 // workers of distinct runs must never share mutable state.
 func TestExecuteStreamConcurrent(t *testing.T) {
 	nw, ext, user, consts := streamFixture(t)
-
-	seqNet := nw.Clone()
-	wantEnc, err := seqNet.Execute(ext, consts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := user.DecryptTable(wantEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := fixtureOracle(t, ext, user, consts)
 
 	const runs = 8
 	var wg sync.WaitGroup
@@ -218,7 +217,7 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 			run := nw.Clone()
 			run.BatchSize = batch
 			var rows [][]exec.Value
-			schema, _, err := run.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+			schema, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 				rows = append(rows, b...)
 				return nil
 			})
@@ -235,6 +234,13 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 			}
 			if got.Len() != want.Len() {
 				errs <- errRowCount{got.Len(), want.Len()}
+				return
+			}
+			for r := range want.Rows {
+				if g, w := exec.DisplayString(got.Rows[r]), exec.DisplayString(want.Rows[r]); g != w {
+					errs <- fmt.Errorf("batch %d row %d: %s, want %s", batch, r, g, w)
+					return
+				}
 			}
 		}(1 + i%4)
 	}
@@ -247,4 +253,4 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 
 type errRowCount struct{ got, want int }
 
-func (e errRowCount) Error() string { return "streamed row count differs from sequential result" }
+func (e errRowCount) Error() string { return "streamed row count differs from the oracle" }

@@ -76,7 +76,7 @@ func TestTPCHDistributedMatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := nw.Execute(res.Extended, consts)
+			got, _, err := nw.ExecuteParallelCtx(nil, res.Extended, consts)
 			if err != nil {
 				t.Fatal(err)
 			}

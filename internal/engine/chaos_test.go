@@ -341,56 +341,48 @@ func TestCallerDeadlineOverridesDefault(t *testing.T) {
 }
 
 // TestPanicIsolation proves a panic inside execution never kills the
-// process on either runtime: it surfaces as a typed *exec.PanicError naming
-// the boundary, counts in the panic metric, and the engine keeps serving
-// correct results afterwards — including from the now-cached plan.
+// process: it surfaces as a typed *exec.PanicError naming the boundary,
+// counts in the panic metric, and the engine keeps serving correct results
+// afterwards — including from the now-cached plan.
 func TestPanicIsolation(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		sequential := sequential
-		name := "parallel"
-		if sequential {
-			name = "sequential"
+	t.Run("parallel", func(t *testing.T) {
+		faults := &distsim.Faults{}
+		cfg := testConfig(t, tpch.UAPenc)
+		cfg.Faults = faults
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			faults := &distsim.Faults{}
-			cfg := testConfig(t, tpch.UAPenc)
-			cfg.Sequential = sequential
-			cfg.Faults = faults
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q6 := querySQL(t, 6)
-			want, err := eng.Query(q6) // unfaulted baseline, also caches the plan
-			if err != nil {
-				t.Fatal(err)
-			}
+		q6 := querySQL(t, 6)
+		want, err := eng.Query(q6) // unfaulted baseline, also caches the plan
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			faults.Ops = &exec.FaultPoints{Ops: map[string]exec.FaultSpec{
-				"*": {Kind: exec.FaultPanic, NthBatch: 1},
-			}}
-			_, err = eng.Query(q6)
-			var pe *exec.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("panic run returned %v, want *exec.PanicError", err)
-			}
-			if kind := ClassifyErr(err); kind != KindPanic {
-				t.Errorf("ClassifyErr = %q, want %q", kind, KindPanic)
-			}
-			if got := eng.met.panics.Value(); got != 1 {
-				t.Errorf("mpq_engine_panics_recovered_total = %d, want 1", got)
-			}
+		faults.Ops = &exec.FaultPoints{Ops: map[string]exec.FaultSpec{
+			"*": {Kind: exec.FaultPanic, NthBatch: 1},
+		}}
+		_, err = eng.Query(q6)
+		var pe *exec.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("panic run returned %v, want *exec.PanicError", err)
+		}
+		if kind := ClassifyErr(err); kind != KindPanic {
+			t.Errorf("ClassifyErr = %q, want %q", kind, KindPanic)
+		}
+		if got := eng.met.panics.Value(); got != 1 {
+			t.Errorf("mpq_engine_panics_recovered_total = %d, want 1", got)
+		}
 
-			faults.Ops = nil
-			got, err := eng.Query(q6)
-			if err != nil {
-				t.Fatalf("engine unusable after recovered panic: %v", err)
-			}
-			if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-				t.Errorf("post-panic result differs from pre-panic baseline")
-			}
-		})
-	}
+		faults.Ops = nil
+		got, err := eng.Query(q6)
+		if err != nil {
+			t.Fatalf("engine unusable after recovered panic: %v", err)
+		}
+		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
+			t.Errorf("post-panic result differs from pre-panic baseline")
+		}
+	})
 }
 
 // TestAdmissionControl exercises the gate deterministically: one query is

@@ -14,14 +14,16 @@
 //     under a read lock on the authorization state, so every admitted plan is
 //     consistent with the version it reports.
 //
-//   - A parallel distributed runtime (distsim.ExecuteParallel): plan
-//     fragments execute as per-subject workers exchanging columnar batches
-//     over channels, so independent subtrees of the assigned plan run
+//   - The distributed runtime (distsim.ExecuteStreamCtx): plan fragments
+//     execute as per-subject workers exchanging columnar batches over
+//     channels, so independent subtrees of the assigned plan run
 //     concurrently, and concurrent queries never share mutable executor
 //     state (each run clones the prepared network).
 //
-// Query returns whole tables; QueryStream delivers decrypted, projected
-// rows to a callback as the root fragment produces them (the row-oriented
-// API boundary over the columnar interior). See docs/ARCHITECTURE.md at
-// the repository root for the full three-layer picture.
+// Query, QueryStream, and Explain share one execution path: the root
+// fragment's batches are decrypted, ordered, projected, and limited
+// user-side as they arrive. QueryStream hands the finished rows to a
+// callback (the row-oriented API boundary over the columnar interior);
+// Query collects them into a table. See docs/ARCHITECTURE.md at the
+// repository root for the full three-layer picture.
 package engine

@@ -51,26 +51,15 @@ type Config struct {
 	// encrypt/decrypt operators and user-side finalization on large
 	// batches: 0 means GOMAXPROCS, negative disables the pool.
 	CryptoWorkers int
-	// ValueCrypto forces the per-value crypto path inside the batch
-	// pipeline (one EncryptValue/DecryptValue call per cell): the batched
-	// crypto engine's equivalence oracle and benchmark baseline.
-	ValueCrypto bool
 	// LinkDelay, when set, simulates wide-area link latency on every
 	// inter-subject transfer (see distsim.LinkDelay).
 	LinkDelay *distsim.LinkDelay
 	// CacheSize bounds the authorized-plan cache (entries). 0 means the
 	// default (256); negative disables caching.
 	CacheSize int
-	// Sequential selects the legacy sequential runtime instead of the
-	// parallel fragment workers (the benchmark baseline).
-	Sequential bool
 	// BatchSize is the number of rows per pipeline batch exchanged between
 	// operators and fragment workers (0 means exec.DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the legacy whole-relation interior — row-at-a-
-	// time operators and complete sub-result shipments — instead of the
-	// batch pipeline: the equivalence oracle and benchmark baseline.
-	Materializing bool
 	// Workers sizes each subject's morsel worker pool: table-anchored
 	// pipeline segments (and group-by builds above them) split into fixed
 	// row-ranges over the cached column vectors and execute concurrently,
@@ -97,10 +86,6 @@ type Config struct {
 	// the consumer merges them, shrinking the transfer to one row per
 	// group. Results are identical; the ledger records the reduced bytes.
 	PartialShuffle bool
-	// AdaptiveBatch starts table scans at a small pipeline batch size and
-	// grows it geometrically toward BatchSize, so short-circuiting queries
-	// never pay for a full batch of downstream work.
-	AdaptiveBatch bool
 	// QueryTimeout is the default deadline of every query: a run exceeding
 	// it is cancelled within one batch of work and fails with
 	// context.DeadlineExceeded. A caller context that carries its own
@@ -336,7 +321,7 @@ func (pq *preparedQuery) observedRows() map[algebra.Node]int64 {
 // Response is the outcome of one query.
 type Response struct {
 	// Headers and Table are the user-facing result after decryption,
-	// ordering, projection, and limit.
+	// ordering, projection, and limit (Table is nil for QueryStream).
 	Headers []string
 	Table   *exec.Table
 	// CacheHit reports whether the authorized plan came from the cache.
@@ -356,8 +341,8 @@ type Response struct {
 	// distributed execution and user-side finalization.
 	PlanTime, ExecTime time.Duration
 	// TimeToFirstRow is the time from execution start until the first
-	// result batch reached the caller. Only QueryStream sets it (zero for
-	// queries that produced no rows).
+	// finished rows were handed on (zero for queries that produced no
+	// rows).
 	TimeToFirstRow time.Duration
 	// Rows counts the result rows delivered (Table.Len() for Query, rows
 	// streamed to the callback for QueryStream).
@@ -392,15 +377,23 @@ func (e *Engine) Query(query string) (*Response, error) {
 // when ctx has none; admission control (Config.MaxConcurrent) may reject
 // the query with ErrOverloaded or ErrQueueTimeout before any work is done.
 func (e *Engine) QueryCtx(ctx context.Context, query string) (*Response, error) {
-	resp, _, err := e.query(ctx, query, nil)
+	resp, _, err := e.query(ctx, query, nil, nil)
 	return resp, err
 }
 
-// query is the shared body of Query and Explain: when tr is non-nil the run
-// executes traced (every compiled operator wrapped in a span, every
-// cross-subject edge recorded) and the observed cardinalities are stored on
-// the prepared plan.
-func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Response, _ *preparedQuery, err error) {
+// query is the one execution path behind Query, QueryStream, and Explain:
+// it admits the authorized plan, runs it on the streaming runtime, and
+// completes every root batch user-side in the sink (see finisher). yield
+// receives the finished rows; a nil yield collects them into
+// Response.Table. When tr is non-nil the run executes traced (every
+// compiled operator wrapped in a span, every cross-subject edge recorded)
+// and the observed cardinalities are stored on the prepared plan, which is
+// returned for Explain.
+//
+// The execute and finalize phase histograms are disjoint: finalize is the
+// time spent decrypting, ordering, and projecting (in the sink and after
+// the run), execute the rest of the run. The caller's yield is in neither.
+func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace, yield func(headers []string, rows [][]exec.Value) error) (_ *Response, _ *preparedQuery, err error) {
 	e.met.queries.Inc()
 	ctx, cancel := e.runContext(ctx)
 	if cancel != nil {
@@ -422,15 +415,7 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 		}
 	}()
 	start := time.Now()
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		e.met.errors.Inc()
-		return nil, nil, err
-	}
-	e.met.observe(e.met.phaseParse, start)
-	fp := fingerprint(stmt)
-
-	pq, hit, err := e.admit(stmt, fp)
+	pq, hit, err := e.admitSQL(query)
 	if err != nil {
 		e.met.errors.Inc()
 		return nil, nil, err
@@ -448,51 +433,84 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 	} else {
 		e.met.misses.Inc()
 	}
-	planTime := time.Since(start)
-
-	execStart := time.Now()
-	run := pq.network.Clone()
-	run.Trace = tr
-	var (
-		table     *exec.Table
-		transfers []distsim.Transfer
-	)
-	if e.cfg.Sequential {
-		table, err = run.ExecuteCtx(ctx, pq.result.Extended, pq.consts)
-		transfers = run.Transfers
-	} else {
-		table, transfers, err = run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
-	}
-	if err != nil {
-		e.countFailure(err)
-		return nil, nil, err
-	}
-	e.met.observe(e.met.phaseExecute, execStart)
-	if tr != nil {
-		pq.recordObserved(tr)
-	}
-	finStart := time.Now()
-	final, headers, err := e.finalize(pq, table)
-	if err != nil {
-		e.met.errors.Inc()
-		return nil, nil, err
-	}
-	e.met.observe(e.met.phaseFinalize, finStart)
 	resp := &Response{
-		Headers:      headers,
-		Table:        final,
 		CacheHit:     hit,
 		AuthzVersion: pq.version,
 		Executors:    pq.executors,
 		Cost:         pq.result.Cost,
-		Transfers:    transfers,
-		PlanTime:     planTime,
-		ExecTime:     time.Since(execStart),
-		Rows:         final.Len(),
+		PlanTime:     time.Since(start),
 	}
+	for _, oc := range pq.plan.Output {
+		resp.Headers = append(resp.Headers, oc.Name)
+	}
+	var collected [][]exec.Value
+	collect := yield == nil
+	if collect {
+		yield = func(_ []string, rows [][]exec.Value) error {
+			collected = append(collected, rows...)
+			return nil
+		}
+	}
+
+	execStart := time.Now()
+	var sinkTime, yieldTime time.Duration
+	fin := newFinisher(pq, e.cfg.CryptoWorkers, func(rows [][]exec.Value) error {
+		if len(rows) == 0 {
+			return nil
+		}
+		if resp.TimeToFirstRow == 0 {
+			resp.TimeToFirstRow = time.Since(execStart)
+		}
+		resp.Rows += len(rows)
+		t0 := time.Now()
+		err := yield(resp.Headers, rows)
+		yieldTime += time.Since(t0)
+		return err
+	})
+	run := pq.network.Clone()
+	run.Trace = tr
+	schema, transfers, err := run.ExecuteStreamCtx(ctx, pq.result.Extended, pq.consts, func(rows [][]exec.Value) error {
+		t0 := time.Now()
+		err := fin.add(rows)
+		sinkTime += time.Since(t0)
+		return err
+	})
+	if err != nil {
+		e.countFailure(err)
+		return nil, nil, err
+	}
+	runTime := time.Since(execStart)
+	if tr != nil {
+		pq.recordObserved(tr)
+	}
+	postStart := time.Now()
+	if err := fin.flush(e.cfg.BatchSize); err != nil {
+		e.met.errors.Inc()
+		return nil, nil, err
+	}
+	e.met.phaseExecute.Observe((runTime - sinkTime).Seconds())
+	e.met.phaseFinalize.Observe((sinkTime + time.Since(postStart) - yieldTime).Seconds())
+
+	if collect {
+		resp.Table = exec.NewTable(schema).Project(fin.indices)
+		resp.Table.Rows = collected
+	}
+	resp.Transfers = transfers
+	resp.ExecTime = time.Since(execStart)
 	e.met.transfers.Add(uint64(len(transfers)))
 	e.met.bytesShipped.Add(uint64(resp.BytesShipped()))
 	return resp, pq, nil
+}
+
+// admitSQL parses a query and admits its authorized plan.
+func (e *Engine) admitSQL(query string) (*preparedQuery, bool, error) {
+	start := time.Now()
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil, false, err
+	}
+	e.met.observe(e.met.phaseParse, start)
+	return e.admit(stmt, fingerprint(stmt))
 }
 
 // admit returns an authorized plan consistent with the current
@@ -572,15 +590,12 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer,
 	nw := distsim.NewNetwork()
 	nw.Delay = e.cfg.LinkDelay
 	nw.BatchSize = e.cfg.BatchSize
-	nw.Materializing = e.cfg.Materializing
 	nw.CryptoWorkers = e.cfg.CryptoWorkers
-	nw.ValueCrypto = e.cfg.ValueCrypto
 	nw.Workers = e.cfg.Workers
 	nw.MorselRows = e.cfg.MorselRows
 	nw.MemBudget = e.cfg.MemBudget
 	nw.SpillDir = e.cfg.SpillDir
 	nw.PartialShuffle = e.cfg.PartialShuffle
-	nw.AdaptiveBatch = e.cfg.AdaptiveBatch
 	nw.Faults = e.cfg.Faults
 	for name, fn := range e.cfg.UDFs {
 		nw.UDFs[name] = fn
@@ -622,24 +637,6 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer,
 		executors:   executors,
 		paillierPKs: paillierKeysOf(res.Extended.Root, full),
 	}, nil
-}
-
-// finalize is the user-side completion: decrypt the root relation with the
-// query-plan keys, then apply ordering, projection, and limit.
-func (e *Engine) finalize(pq *preparedQuery, got *exec.Table) (*exec.Table, []string, error) {
-	f := exec.NewExecutor()
-	f.Keys = pq.keys
-	f.CryptoWorkers = e.cfg.CryptoWorkers
-	f.ValueCrypto = e.cfg.ValueCrypto
-	dec, err := f.DecryptTable(got)
-	if err != nil {
-		return nil, nil, err
-	}
-	root := pq.result.Extended.Root
-	f.Materialized = map[algebra.Node]*exec.Table{root: dec}
-	extPlan := *pq.plan
-	extPlan.Root = root
-	return f.RunPlan(&extPlan)
 }
 
 // Grant adds the authorization [plain, enc]→subject on rel, invalidating

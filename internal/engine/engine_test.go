@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"testing"
 
-	"mpq/internal/distsim"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
 	"mpq/internal/tpch"
@@ -90,21 +88,16 @@ func centralized(t *testing.T, sqlText string) *exec.Table {
 }
 
 // TestEngineMatchesCentralized proves, for every authorization scenario of
-// the Section 7 evaluation, that the parallel distributed runtime returns
+// the Section 7 evaluation, that the distributed runtime returns
 // byte-identical (canonically serialized) results to trusted centralized
-// execution, that a cached re-execution returns the same bytes, and that
-// the parallel and sequential runtimes agree.
+// execution over plaintext tables, that a cached re-execution returns the
+// same bytes, and that the centralized oracle running the extended plan
+// agrees with both — and with the run's per-edge ledger.
 func TestEngineMatchesCentralized(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
 		sc := sc
 		t.Run(string(sc), func(t *testing.T) {
 			par, err := New(testConfig(t, sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqCfg := testConfig(t, sc)
-			seqCfg.Sequential = true
-			seq, err := New(seqCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,45 +127,16 @@ func TestEngineMatchesCentralized(t *testing.T) {
 					t.Errorf("Q%d: cached result differs from centralized", num)
 				}
 
-				sres, err := seq.Query(sqlText)
-				if err != nil {
-					t.Fatalf("Q%d sequential: %v", num, err)
+				ores, edges := oracleQuery(t, par, sqlText)
+				if got := canon(ores); !bytes.Equal(got, want) {
+					t.Errorf("Q%d: oracle result differs from centralized", num)
 				}
-				if got := canon(sres.Table); !bytes.Equal(got, want) {
-					t.Errorf("Q%d: sequential result differs from centralized", num)
-				}
-
-				// The parallel runtime must account exactly the shipments of
-				// the sequential recursion (order aside): same multiset of
-				// (from, to, op, rows). Byte counts are left out because the
-				// two engines hold distinct key material and Paillier
-				// ciphertext encodings vary in length with the key.
-				if diff := ledgerDiff(cold.Transfers, sres.Transfers); diff != "" {
+				// The runtime must account exactly the oracle's shipments
+				// (order aside): same multiset of (from, to, op, rows).
+				if diff := ledgerDiff(edgesOf(cold.Transfers), edges); diff != "" {
 					t.Errorf("Q%d: transfer ledgers differ: %s", num, diff)
 				}
 			}
 		})
 	}
-}
-
-func ledgerDiff(a, b []distsim.Transfer) string {
-	count := func(ts []distsim.Transfer) map[string]int {
-		m := make(map[string]int, len(ts))
-		for _, t := range ts {
-			m[fmt.Sprintf("%s→%s %s rows=%d", t.From, t.To, t.Op, t.Rows)]++
-		}
-		return m
-	}
-	ca, cb := count(a), count(b)
-	for k, n := range ca {
-		if cb[k] != n {
-			return fmt.Sprintf("parallel has %q ×%d, sequential ×%d", k, n, cb[k])
-		}
-	}
-	for k, n := range cb {
-		if ca[k] != n {
-			return fmt.Sprintf("sequential has %q ×%d, parallel ×%d", k, n, ca[k])
-		}
-	}
-	return ""
 }

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"mpq/internal/algebra"
+	"mpq/internal/distsim"
 	"mpq/internal/exec"
+	"mpq/internal/oracle"
 	"mpq/internal/tpch"
 )
 
@@ -17,47 +21,99 @@ func rowStrings(rows [][]exec.Value) []string {
 	return out
 }
 
+// oracleQuery runs the prepared plan eng serves for sqlText on the
+// centralized oracle and finishes it user-side: decryption with the
+// query-plan keys, then ordering, projection, and limit. It returns the
+// result and the per-edge ledger the distributed run must account.
+func oracleQuery(t *testing.T, eng *Engine, sqlText string) (*exec.Table, []oracle.Edge) {
+	t.Helper()
+	pq, _, err := eng.admitSQL(sqlText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := pq.result.Extended
+	root, edges, err := oracle.Run(ext, eng.cfg.Tables, pq.keys, eng.cfg.UDFs, pq.consts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := exec.NewExecutor()
+	f.Keys = pq.keys
+	dec, err := f.DecryptTable(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Materialized = map[algebra.Node]*exec.Table{ext.Root: dec}
+	plan := *pq.plan
+	plan.Root = ext.Root
+	final, _, err := f.RunPlan(&plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return final, edges
+}
+
+// edgesOf renders a transfer ledger as oracle edges.
+func edgesOf(transfers []distsim.Transfer) []oracle.Edge {
+	out := make([]oracle.Edge, len(transfers))
+	for i, tr := range transfers {
+		out[i] = oracle.Edge{From: tr.From, To: tr.To, Op: tr.Op, Rows: tr.Rows}
+	}
+	return out
+}
+
+// ledgerDiff compares two ledgers as multisets of (from, to, op, rows).
+// Byte counts are left out: the oracle ships nothing, and Paillier
+// ciphertext encodings vary in length with the key.
+func ledgerDiff(got, want []oracle.Edge) string {
+	count := make(map[string]int, len(want))
+	for _, e := range got {
+		count[e.String()]++
+	}
+	for _, e := range want {
+		count[e.String()]--
+	}
+	for k, n := range count {
+		switch {
+		case n > 0:
+			return fmt.Sprintf("%q shipped %d more time(s) than wanted", k, n)
+		case n < 0:
+			return fmt.Sprintf("%q shipped %d fewer time(s) than wanted", k, -n)
+		}
+	}
+	return ""
+}
+
 // TestBatchPipelineMatchesMaterializing runs the conformance query subset
-// through two engines per authorization scenario — one on the batch
-// streaming pipeline, one on the legacy materializing interior — and diffs
-// the distributed results row for row. Both engines decrypt to plaintext,
-// so the comparison is exact: equal values in equal order.
+// through the engine per authorization scenario and diffs each result, row
+// for row, against the centralized row-at-a-time oracle executing the same
+// prepared plan. Both sides decrypt to plaintext, so the comparison is
+// exact: equal values in equal order. The run's ledger must carry the
+// oracle's multiset of per-edge (from, to, op, rows).
 func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
 		sc := sc
 		t.Run(string(sc), func(t *testing.T) {
-			batchEng, err := New(testConfig(t, sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			matCfg := testConfig(t, sc)
-			matCfg.Materializing = true
-			matEng, err := New(matCfg)
+			eng, err := New(testConfig(t, sc))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, num := range testQueries {
 				sqlText := querySQL(t, num)
-				got, err := batchEng.Query(sqlText)
+				got, err := eng.Query(sqlText)
 				if err != nil {
-					t.Fatalf("Q%d batch: %v", num, err)
+					t.Fatalf("Q%d: %v", num, err)
 				}
-				want, err := matEng.Query(sqlText)
-				if err != nil {
-					t.Fatalf("Q%d materializing: %v", num, err)
-				}
-				g, w := rowStrings(got.Table.Rows), rowStrings(want.Table.Rows)
+				want, edges := oracleQuery(t, eng, sqlText)
+				g, w := rowStrings(got.Table.Rows), rowStrings(want.Rows)
 				if len(g) != len(w) {
 					t.Fatalf("Q%d: %d rows, want %d", num, len(g), len(w))
 				}
 				for i := range w {
 					if g[i] != w[i] {
-						t.Fatalf("Q%d row %d differs:\nbatch:         %s\nmaterializing: %s", num, i, g[i], w[i])
+						t.Fatalf("Q%d row %d differs:\nengine: %s\noracle: %s", num, i, g[i], w[i])
 					}
 				}
-				// The streaming runtime must account the same shipments per
-				// edge (multiset of from→to/op/rows) as the materializing one.
-				if diff := ledgerDiff(got.Transfers, want.Transfers); diff != "" {
+				if diff := ledgerDiff(edgesOf(got.Transfers), edges); diff != "" {
 					t.Errorf("Q%d: transfer ledgers differ: %s", num, diff)
 				}
 			}

@@ -85,17 +85,13 @@ func (e *Engine) ExplainCtx(ctx context.Context, query string) (*Explanation, er
 	return ex, err
 }
 
-// QueryTraced executes like Query with tracing enabled, returning both the
-// full response (result table included) and the annotated explanation —
-// the mpqd ?trace=1 surface, where the caller wants rows and trace together.
-func (e *Engine) QueryTraced(query string) (*Response, *Explanation, error) {
-	return e.QueryTracedCtx(nil, query)
-}
-
-// QueryTracedCtx is QueryTraced under a caller context.
+// QueryTracedCtx executes like QueryCtx with tracing enabled, returning
+// both the full response (result table included) and the annotated
+// explanation — the mpqd ?trace=1 surface, where the caller wants rows and
+// trace together.
 func (e *Engine) QueryTracedCtx(ctx context.Context, query string) (*Response, *Explanation, error) {
 	tr := obs.NewTrace()
-	resp, pq, err := e.query(ctx, query, tr)
+	resp, pq, err := e.query(ctx, query, tr, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -23,7 +23,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, q := range tpch.Queries() {
 		want := canon(centralized(t, q.SQL))
 		tr := obs.NewTrace()
-		resp, pq, err := eng.query(nil, q.SQL, tr)
+		resp, pq, err := eng.query(nil, q.SQL, tr, nil)
 		if err != nil {
 			t.Fatalf("Q%d traced: %v", q.Num, err)
 		}
@@ -121,36 +121,5 @@ func TestExplainAnnotations(t *testing.T) {
 	}
 	if !again.CacheHit {
 		t.Error("repeated Explain missed the plan cache")
-	}
-}
-
-// TestExplainSequentialAndMaterializing checks the traced oracle runtimes:
-// spans must appear (materialized results account rows and inclusive time as
-// one batch) under both legacy interiors.
-func TestExplainSequentialAndMaterializing(t *testing.T) {
-	for _, mode := range []struct {
-		name          string
-		sequential    bool
-		materializing bool
-	}{
-		{"sequential", true, false},
-		{"materializing", false, true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := testConfig(t, tpch.UAPmix)
-			cfg.Sequential = mode.sequential
-			cfg.Materializing = mode.materializing
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err := eng.Explain(querySQL(t, 6))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Plan.Rows == 0 || ex.Plan.TimeNs == 0 {
-				t.Errorf("root rows=%d time=%d, want > 0", ex.Plan.Rows, ex.Plan.TimeNs)
-			}
-		})
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"mpq/internal/exec"
 	"mpq/internal/tpch"
 )
 
@@ -86,6 +88,43 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 	if got := eng.Stats().Invalidations; got != before+1 {
 		t.Errorf("invalidations = %d, want %d", got, before+1)
+	}
+}
+
+// TestStreamPhasesDisjoint checks the phase accounting of a streamed
+// ORDER BY query: user-side decryption, sorting, and projection land in a
+// non-zero finalize observation, and neither execute nor finalize counts
+// the caller's time in yield.
+func TestStreamPhasesDisjoint(t *testing.T) {
+	eng, err := New(testConfig(t, tpch.UAPenc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pause = 20 * time.Millisecond
+	calls := 0
+	resp, err := eng.QueryStream(querySQL(t, 1), func(_ []string, _ [][]exec.Value) error {
+		calls++
+		time.Sleep(pause)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("Q1 streamed no rows")
+	}
+	snap := eng.Metrics().Snapshot()
+	if got := snap["mpq_engine_phase_seconds_count{phase=finalize}"]; got != 1 {
+		t.Errorf("finalize observations = %v, want 1", got)
+	}
+	fin := snap["mpq_engine_phase_seconds_sum{phase=finalize}"]
+	if fin <= 0 {
+		t.Errorf("finalize phase = %v s, want > 0", fin)
+	}
+	phases := time.Duration((fin + snap["mpq_engine_phase_seconds_sum{phase=execute}"]) * float64(time.Second))
+	if limit := resp.ExecTime - time.Duration(calls)*pause; phases > limit {
+		t.Errorf("execute + finalize = %v, want <= %v (exec time %v minus %d yields of %v)",
+			phases, limit, resp.ExecTime, calls, pause)
 	}
 }
 

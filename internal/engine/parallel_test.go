@@ -46,7 +46,7 @@ func TestWorkersMatchesSingleThreaded(t *testing.T) {
 						t.Fatalf("Q%d row %d differs:\nworkers=4: %s\nworkers=1: %s", num, i, g[i], w[i])
 					}
 				}
-				if diff := ledgerDiff(got.Transfers, want.Transfers); diff != "" {
+				if diff := ledgerDiff(edgesOf(got.Transfers), edgesOf(want.Transfers)); diff != "" {
 					t.Errorf("Q%d: transfer ledgers differ: %s", num, diff)
 				}
 			}

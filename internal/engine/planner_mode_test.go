@@ -10,8 +10,8 @@ import (
 
 // TestPlannerModeEquivalence is the cross-mode oracle suite: every TPC-H
 // query, on every authorization scenario, through every planner mode and
-// worker count, must produce exactly the rows of a materializing-runtime
-// oracle engine (the simplest interior, FROM-order plans). Join reordering
+// worker count, must produce exactly the rows of the centralized
+// row-at-a-time oracle running the cost-mode (FROM-order) plan. Join reordering
 // permutes row order and float accumulation order, so rows are compared
 // canonicalized (sorted, floats rounded) — any divergence means greedy
 // ordering or adaptive re-planning changed the *answer*, not the plan.
@@ -26,19 +26,14 @@ func TestPlannerModeEquivalence(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
 		sc := sc
 		t.Run(string(sc), func(t *testing.T) {
-			oracleCfg := testConfig(t, sc)
-			oracleCfg.Materializing = true
-			oracle, err := New(oracleCfg)
+			ref, err := New(testConfig(t, sc))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := make(map[int][]byte, len(queries))
 			for _, q := range queries {
-				resp, err := oracle.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("oracle Q%d: %v", q.Num, err)
-				}
-				want[q.Num] = canon(resp.Table)
+				res, _ := oracleQuery(t, ref, q.SQL)
+				want[q.Num] = canon(res)
 			}
 			for _, mode := range []string{PlannerCost, PlannerGreedy, PlannerAdaptive} {
 				for _, workers := range []int{1, 2, 8} {

@@ -10,14 +10,12 @@ import (
 	"mpq/internal/tpch"
 )
 
-// TestConcurrentSequentialWithUDFs runs concurrent queries on the
-// sequential runtime with network-wide UDFs configured: the legacy Execute
-// merges UDFs into each subject executor's registry, which must be private
-// per run (regression: clones once shared the registry map and concurrent
-// sequential runs raced on it).
+// TestConcurrentSequentialWithUDFs runs concurrent queries with
+// network-wide UDFs configured: the runtime merges UDFs into each fragment
+// executor's registry, which must be private per run (regression: clones
+// once shared the registry map and concurrent runs raced on it).
 func TestConcurrentSequentialWithUDFs(t *testing.T) {
 	cfg := testConfig(t, tpch.UAPenc)
-	cfg.Sequential = true
 	cfg.UDFs = map[string]exec.UDFFunc{
 		"noop": func(args []exec.Value) (exec.Value, error) { return args[0], nil },
 	}

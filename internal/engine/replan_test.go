@@ -36,7 +36,7 @@ func TestAdaptiveReplanConverges(t *testing.T) {
 	improved := false
 	for _, num := range testQueries {
 		sqlText := querySQL(t, num)
-		r1, pq1, err := eng.query(nil, sqlText, nil)
+		r1, pq1, err := eng.query(nil, sqlText, nil, nil)
 		if err != nil {
 			t.Fatalf("Q%d: %v", num, err)
 		}
@@ -45,7 +45,7 @@ func TestAdaptiveReplanConverges(t *testing.T) {
 			t.Fatalf("Q%d: adaptive mode did not self-trace the first run", num)
 		}
 		before, compared := cost.PlanQError(pq1.result.Extended.Root, obs1, cfg.ReplanMinRows)
-		r2, pq2, err := eng.query(nil, sqlText, nil)
+		r2, pq2, err := eng.query(nil, sqlText, nil, nil)
 		if err != nil {
 			t.Fatalf("Q%d (rerun): %v", num, err)
 		}
@@ -96,7 +96,7 @@ func TestReplanBoundedByGenerationCap(t *testing.T) {
 	var counts []uint64
 	var prev *preparedQuery
 	for i := 0; i < runs; i++ {
-		_, pq, err := eng.query(nil, sqlText, nil)
+		_, pq, err := eng.query(nil, sqlText, nil, nil)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

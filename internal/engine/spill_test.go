@@ -122,36 +122,6 @@ func TestPartialShuffleReducesBytes(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchMatches proves adaptive batch sizing (scans starting at
-// small windows and growing geometrically) changes only batch boundaries,
-// never results.
-func TestAdaptiveBatchMatches(t *testing.T) {
-	plain, err := New(testConfig(t, tpch.UAPenc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	adCfg := testConfig(t, tpch.UAPenc)
-	adCfg.AdaptiveBatch = true
-	adaptive, err := New(adCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, num := range testQueries {
-		sqlText := querySQL(t, num)
-		want, err := plain.Query(sqlText)
-		if err != nil {
-			t.Fatalf("Q%d: %v", num, err)
-		}
-		got, err := adaptive.Query(sqlText)
-		if err != nil {
-			t.Fatalf("Q%d adaptive: %v", num, err)
-		}
-		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-			t.Errorf("Q%d: adaptive-batch result differs\ngot:\n%s\nwant:\n%s", num, g, w)
-		}
-	}
-}
-
 // TestCacheHitRefillsRandomizerPool proves a plan-cache hit on a
 // Paillier-encrypting plan kicks a background randomizer refill: the
 // prepared plan records the Paillier keys, the refill completes, and a
@@ -162,7 +132,7 @@ func TestCacheHitRefillsRandomizerPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	q1 := querySQL(t, 1) // Paillier SUM aggregation
-	resp, pq, err := eng.query(nil, q1, nil)
+	resp, pq, err := eng.query(nil, q1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +143,7 @@ func TestCacheHitRefillsRandomizerPool(t *testing.T) {
 		t.Fatal("prepared Q1 recorded no Paillier keys")
 	}
 
-	hit, _, err := eng.query(nil, q1, nil)
+	hit, _, err := eng.query(nil, q1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +161,7 @@ func TestCacheHitRefillsRandomizerPool(t *testing.T) {
 	}
 
 	before := crypto.ReadStats().PaillierPoolHits
-	if _, _, err := eng.query(nil, q1, nil); err != nil {
+	if _, _, err := eng.query(nil, q1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := crypto.ReadStats().PaillierPoolHits; after <= before {

@@ -2,12 +2,8 @@ package engine
 
 import (
 	"context"
-	"time"
 
 	"mpq/internal/exec"
-	"mpq/internal/exec/pipeline"
-	"mpq/internal/obs"
-	"mpq/internal/sql"
 )
 
 // QueryStream plans, authorizes, and executes one SQL query like Query, but
@@ -20,9 +16,8 @@ import (
 //
 // Queries with an ORDER BY cannot stream past the sort: their rows are
 // drained, sorted, and then replayed to yield in batches, so the first row
-// arrives only after execution completes. The same holds under the
-// Sequential and Materializing runtimes, which have no streaming interior.
-// A yield error aborts the run and is returned.
+// arrives only after execution completes. A yield error aborts the run and
+// is returned.
 func (e *Engine) QueryStream(query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
 	return e.QueryStreamCtx(nil, query, yield)
 }
@@ -32,234 +27,115 @@ func (e *Engine) QueryStream(query string, yield func(headers []string, rows [][
 // Config.QueryTimeout applies when ctx has no deadline, and admission
 // control may reject the query before any work is done (see QueryCtx).
 func (e *Engine) QueryStreamCtx(ctx context.Context, query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
-	return e.queryStream(ctx, query, nil, yield)
+	resp, _, err := e.query(ctx, query, nil, yield)
+	return resp, err
 }
 
-// queryStream is the shared body of QueryStream and the traced streaming
-// path (mpqd's ?trace=1): when tr is non-nil the run executes traced and the
-// observed cardinalities are stored on the prepared plan.
-func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, yield func(headers []string, rows [][]exec.Value) error) (_ *Response, err error) {
-	e.met.queries.Inc()
-	ctx, cancel := e.runContext(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	if err := e.acquireSlot(ctx); err != nil {
-		e.countFailure(err)
-		return nil, err
-	}
-	defer e.releaseSlot()
-	// Engine-boundary panic isolation, as in Engine.query.
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.NewPanicError("engine query", r)
-			e.countFailure(err)
-		}
-	}()
-	start := time.Now()
-	pq, hit, err := e.admitSQL(query)
-	if err != nil {
-		e.met.errors.Inc()
-		return nil, err
-	}
-	if tr == nil && e.adaptive() && pq.observedRows() == nil {
-		// Adaptive mode self-seeds its feedback (see Engine.query).
-		tr = obs.NewTrace()
-	}
-	if hit {
-		e.met.hits.Inc()
-		pq.refillRandomizers()
-	} else {
-		e.met.misses.Inc()
-	}
-	planTime := time.Since(start)
+// finisher is the user side of one run, fed the root fragment's batches by
+// the streaming runtime: it decrypts each batch with the query-plan keys
+// and applies the plan's ordering, projection, and limit, handing finished
+// rows to emit. Without ORDER BY rows stream straight through. ORDER BY +
+// LIMIT — the top-k shape (TPC-H Q2/Q3/Q10) — keeps a bounded heap, so
+// memory stays O(limit) and the final sort touches only the retained rows;
+// an unbounded ORDER BY drains and sorts at flush.
+type finisher struct {
+	dec     *exec.Executor
+	indices []int           // output column positions in the root schema
+	limit   int             // < 0 = no LIMIT
+	specs   []exec.SortSpec // nil = no ORDER BY
+	topk    *exec.TopK      // ORDER BY + LIMIT
+	drained [][]exec.Value  // unbounded ORDER BY
+	emitted int
+	emit    func(rows [][]exec.Value) error
+}
 
-	batch := e.cfg.BatchSize
-	if batch <= 0 {
-		batch = exec.DefaultBatchSize
+func newFinisher(pq *preparedQuery, cryptoWorkers int, emit func(rows [][]exec.Value) error) *finisher {
+	f := &finisher{
+		dec:     exec.NewExecutor(),
+		indices: make([]int, len(pq.plan.Output)),
+		limit:   pq.plan.Limit,
+		emit:    emit,
 	}
-	resp := &Response{
-		CacheHit:     hit,
-		AuthzVersion: pq.version,
-		Executors:    pq.executors,
-		Cost:         pq.result.Cost,
-		PlanTime:     planTime,
+	f.dec.Keys = pq.keys
+	f.dec.CryptoWorkers = cryptoWorkers
+	for i, oc := range pq.plan.Output {
+		f.indices[i] = oc.Index
 	}
-	for _, oc := range pq.plan.Output {
-		resp.Headers = append(resp.Headers, oc.Name)
+	for _, o := range pq.plan.OrderBy {
+		f.specs = append(f.specs, exec.SortSpec{Index: o.Index, Desc: o.Desc})
 	}
+	if f.specs != nil && f.limit >= 0 {
+		f.topk = exec.NewTopK(f.specs, f.limit)
+	}
+	return f
+}
 
-	execStart := time.Now()
-	emit := func(rows [][]exec.Value) error {
+// add finishes one batch of root rows.
+func (f *finisher) add(rows [][]exec.Value) error {
+	if f.specs == nil && f.limit >= 0 {
+		// Rows past the limit are drained without decrypting them.
+		rows = rows[:min(len(rows), max(f.limit-f.emitted, 0))]
 		if len(rows) == 0 {
 			return nil
 		}
-		if resp.TimeToFirstRow == 0 {
-			resp.TimeToFirstRow = time.Since(execStart)
-		}
-		resp.Rows += len(rows)
-		return yield(resp.Headers, rows)
 	}
-
-	run := pq.network.Clone()
-	run.Trace = tr
-	if e.cfg.Sequential || e.cfg.Materializing {
-		// No streaming interior: execute, finalize, replay in batches.
-		var table *exec.Table
-		if e.cfg.Sequential {
-			table, err = run.ExecuteCtx(ctx, pq.result.Extended, pq.consts)
-			resp.Transfers = run.Transfers
-		} else {
-			table, resp.Transfers, err = run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
-		}
-		if err == nil && tr != nil {
-			pq.recordObserved(tr)
-		}
-		if err == nil {
-			table, _, err = e.finalize(pq, table)
-		}
-		if err != nil {
-			e.countFailure(err)
-			return nil, err
-		}
-		for pos := 0; pos < len(table.Rows); pos += batch {
-			end := min(pos+batch, len(table.Rows))
-			if err := emit(table.Rows[pos:end]); err != nil {
-				e.met.errors.Inc()
-				return nil, err
+	dec, err := f.dec.DecryptRows(rows)
+	if err != nil {
+		return err
+	}
+	switch {
+	case f.topk != nil:
+		for _, row := range dec {
+			if err := f.topk.Add(row); err != nil {
+				return err
 			}
 		}
-		return e.sealStream(resp, execStart), nil
+		return nil
+	case f.specs != nil:
+		f.drained = append(f.drained, dec...)
+		return nil
 	}
+	f.emitted += len(dec)
+	return f.emit(f.project(dec))
+}
 
-	fin := exec.NewExecutor()
-	fin.Keys = pq.keys
-	fin.CryptoWorkers = e.cfg.CryptoWorkers
-	fin.ValueCrypto = e.cfg.ValueCrypto
-	indices := make([]int, len(pq.plan.Output))
-	for i, oc := range pq.plan.Output {
-		indices[i] = oc.Index
+// flush emits an ORDER BY query's sorted rows in batches of batchSize (0
+// means exec.DefaultBatchSize) once the run has drained; streaming queries
+// have nothing left to emit.
+func (f *finisher) flush(batchSize int) error {
+	if f.specs == nil {
+		return nil
 	}
-	limit := pq.plan.Limit
-	streaming := len(pq.plan.OrderBy) == 0
-
-	// ORDER BY + LIMIT — the top-k shape (TPC-H Q2/Q3/Q10) — keeps a
-	// bounded heap instead of draining and sorting the full result: memory
-	// stays O(limit) and the final sort touches only the retained rows.
-	var topk *exec.TopK
-	if !streaming && limit >= 0 {
-		specs := make([]exec.SortSpec, len(pq.plan.OrderBy))
-		for i, o := range pq.plan.OrderBy {
-			specs[i] = exec.SortSpec{Index: o.Index, Desc: o.Desc}
-		}
-		topk = exec.NewTopK(specs, limit)
-	}
-
-	var drained [][]exec.Value // only when an unbounded sort blocks streaming
-	emitted := 0
-	sink := func(rows [][]exec.Value) error {
-		dec, err := pipeline.DecryptRows(fin, rows)
-		if err != nil {
+	sorted := f.drained // limit < 0 here: bounded queries took the TopK path
+	if f.topk != nil {
+		var err error
+		if sorted, err = f.topk.Rows(); err != nil {
 			return err
 		}
-		if topk != nil {
-			for _, row := range dec {
-				if err := topk.Add(row); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if !streaming {
-			drained = append(drained, dec...)
-			return nil
-		}
-		if limit >= 0 && emitted >= limit {
-			return nil // drain the remainder without emitting
-		}
-		out := make([][]exec.Value, 0, len(dec))
-		for _, row := range dec {
-			if limit >= 0 && emitted+len(out) >= limit {
-				break
-			}
-			pr := make([]exec.Value, len(indices))
-			for j, ix := range indices {
-				pr[j] = row[ix]
-			}
-			out = append(out, pr)
-		}
-		emitted += len(out)
-		return emit(out)
+	} else if err := (&exec.Table{Rows: sorted}).SortBy(f.specs); err != nil {
+		return err
 	}
-
-	schema, transfers, err := run.ExecuteStreamCtx(ctx, pq.result.Extended, pq.consts, sink)
-	if err != nil {
-		e.countFailure(err)
-		return nil, err
+	if batchSize <= 0 {
+		batchSize = exec.DefaultBatchSize
 	}
-	resp.Transfers = transfers
-	if tr != nil {
-		pq.recordObserved(tr)
-	}
-
-	if !streaming {
-		var sorted [][]exec.Value
-		if topk != nil {
-			sorted, err = topk.Rows()
-			if err != nil {
-				e.met.errors.Inc()
-				return nil, err
-			}
-		} else {
-			t := exec.NewTable(schema)
-			t.Rows = drained
-			specs := make([]exec.SortSpec, len(pq.plan.OrderBy))
-			for i, o := range pq.plan.OrderBy {
-				specs[i] = exec.SortSpec{Index: o.Index, Desc: o.Desc}
-			}
-			if err := t.SortBy(specs); err != nil {
-				e.met.errors.Inc()
-				return nil, err
-			}
-			sorted = t.Rows // limit < 0 here: bounded queries took the TopK path
-		}
-		out := make([][]exec.Value, len(sorted))
-		for ri, row := range sorted {
-			pr := make([]exec.Value, len(indices))
-			for j, ix := range indices {
-				pr[j] = row[ix]
-			}
-			out[ri] = pr
-		}
-		for pos := 0; pos < len(out); pos += batch {
-			end := min(pos+batch, len(out))
-			if err := emit(out[pos:end]); err != nil {
-				e.met.errors.Inc()
-				return nil, err
-			}
+	out := f.project(sorted)
+	for pos := 0; pos < len(out); pos += batchSize {
+		if err := f.emit(out[pos:min(pos+batchSize, len(out))]); err != nil {
+			return err
 		}
 	}
-	return e.sealStream(resp, execStart), nil
+	return nil
 }
 
-// admitSQL parses a query and admits its authorized plan (shared by
-// QueryStream and Explain).
-func (e *Engine) admitSQL(query string) (*preparedQuery, bool, error) {
-	start := time.Now()
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, false, err
+// project picks the output columns of every row.
+func (f *finisher) project(rows [][]exec.Value) [][]exec.Value {
+	out := make([][]exec.Value, len(rows))
+	for i, row := range rows {
+		pr := make([]exec.Value, len(f.indices))
+		for j, ix := range f.indices {
+			pr[j] = row[ix]
+		}
+		out[i] = pr
 	}
-	e.met.observe(e.met.phaseParse, start)
-	return e.admit(stmt, fingerprint(stmt))
-}
-
-// sealStream stamps the execution counters onto a completed streaming
-// response.
-func (e *Engine) sealStream(resp *Response, execStart time.Time) *Response {
-	resp.ExecTime = time.Since(execStart)
-	e.met.observe(e.met.phaseExecute, execStart)
-	e.met.transfers.Add(uint64(len(resp.Transfers)))
-	e.met.bytesShipped.Add(uint64(resp.BytesShipped()))
-	return resp
+	return out
 }

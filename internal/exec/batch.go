@@ -143,23 +143,15 @@ func Drain(op Operator) (*Table, error) {
 // no cell copies. Ragged rows surface as an Open error (the cache build
 // validates widths, exactly as the transposing scan did per window).
 type colScan struct {
-	schema   []algebra.Attr
-	t        *Table
-	project  []int // nil = identity
-	batch    int
-	adaptive bool            // start small, grow geometrically toward batch
-	ctx      context.Context // run cancellation, probed per window (nil = never)
-	cols     []Column        // projected headers, resolved at Open
-	n        int             // row count the vectors were built at (the scan bound)
-	pos      int
-	cur      int // current window size (== batch unless adaptive)
+	schema  []algebra.Attr
+	t       *Table
+	project []int // nil = identity
+	batch   int
+	ctx     context.Context // run cancellation, probed per window (nil = never)
+	cols    []Column        // projected headers, resolved at Open
+	n       int             // row count the vectors were built at (the scan bound)
+	pos     int
 }
-
-// adaptiveStartRows is the first window size of an adaptive scan: small
-// enough that a query satisfied by the first few rows (LIMIT-like shapes,
-// tiny relations) never pays for a full batch of downstream work, doubling
-// per window until the configured batch size is reached.
-const adaptiveStartRows = 64
 
 func newColScan(t *Table, project []int, batch int) *colScan {
 	schema := t.Schema
@@ -183,10 +175,6 @@ func (s *colScan) Open() error {
 	s.cols = projectCols(cols, s.project)
 	s.n = n
 	s.pos = 0
-	s.cur = s.batch
-	if s.adaptive && adaptiveStartRows < s.batch {
-		s.cur = adaptiveStartRows
-	}
 	return nil
 }
 
@@ -194,14 +182,7 @@ func (s *colScan) Next() (*Batch, error) {
 	if err := ctxErr(s.ctx); err != nil {
 		return nil, err
 	}
-	b := scanWindow(s.cols, &s.pos, s.n, s.cur)
-	if b != nil && s.cur < s.batch {
-		s.cur *= 2
-		if s.cur > s.batch {
-			s.cur = s.batch
-		}
-	}
-	return b, nil
+	return scanWindow(s.cols, &s.pos, s.n, s.batch), nil
 }
 
 // projectCols picks the projected column headers (nil = identity).

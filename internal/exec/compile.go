@@ -62,7 +62,6 @@ func (e *Executor) buildNode(n algebra.Node) (Operator, error) {
 	}
 	if t, ok := e.Materialized[n]; ok {
 		s := newColScan(t, nil, e.batchSize())
-		s.adaptive = e.AdaptiveBatch
 		s.ctx = e.Ctx
 		return s, nil
 	}
@@ -115,7 +114,6 @@ func (e *Executor) buildBase(b *algebra.Base) (Operator, error) {
 		indices = nil
 	}
 	s := newColScan(t, indices, e.batchSize())
-	s.adaptive = e.AdaptiveBatch
 	s.ctx = e.Ctx
 	return s, nil
 }

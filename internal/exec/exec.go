@@ -43,9 +43,10 @@ type Executor struct {
 	// BatchSize is the number of rows per pipeline batch (0 means
 	// DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the legacy row-at-a-time, whole-table
-	// evaluator instead of the batch pipeline. It is kept as the reference
-	// oracle for equivalence tests and as the benchmark baseline.
+	// Materializing selects the row-at-a-time, whole-table evaluator
+	// instead of the batch pipeline: the reference oracle of the
+	// equivalence tests (internal/oracle) and the interior microbenchmark's
+	// baseline. No production path sets it.
 	Materializing bool
 	// CryptoWorkers sizes the intra-batch worker pool of the encrypt and
 	// decrypt operators: 0 means GOMAXPROCS, negative disables the pool.
@@ -53,8 +54,7 @@ type Executor struct {
 	CryptoWorkers int
 	// ValueCrypto forces the batch pipeline's encrypt/decrypt operators
 	// onto the per-value crypto path (EncryptValue/DecryptValue per cell):
-	// the equivalence oracle and benchmark baseline for the batched crypto
-	// engine.
+	// the test-only equivalence oracle of the batched crypto engine.
 	ValueCrypto bool
 	// Workers sizes the morsel worker pool: when > 1, pipeline segments
 	// anchored at a table scan (scan, filter, project, UDF, encrypt,
@@ -80,11 +80,6 @@ type Executor struct {
 	// nil with a budget set is a configuration error surfaced at the first
 	// failed reservation.
 	Spill SpillFactory
-	// AdaptiveBatch starts table scans at a small batch and grows the
-	// window geometrically up to BatchSize: first rows reach the client
-	// after a fraction of a full batch's work, while steady-state
-	// throughput still amortizes per-batch overhead at full width.
-	AdaptiveBatch bool
 	// Partials marks group-by nodes whose input arrives as pre-aggregated
 	// partial rows from a producing fragment (pre-shuffle partial
 	// aggregation): Build compiles those group-bys in merge mode instead of
@@ -147,7 +142,6 @@ func (e *Executor) Clone() *Executor {
 		MorselRows:    e.MorselRows,
 		Mem:           e.Mem,
 		Spill:         e.Spill,
-		AdaptiveBatch: e.AdaptiveBatch,
 		Trace:         e.Trace,
 		Ctx:           e.Ctx,
 		Faults:        e.Faults,

@@ -1,14 +1,12 @@
 // Package pipeline is the streaming layer over the batch execution engine:
 // it drives compiled Open/Next/Close operator streams (exec.Build), adapts
 // channels into pipeline sources so plan fragments on different subjects
-// can exchange row batches instead of whole relations, and provides the
-// user-side streaming finalization (batched decryption) the engine's
-// streaming Query variant builds on.
+// can exchange row batches instead of whole relations.
 //
 // The package deliberately holds no evaluation logic of its own: operator
-// semantics live in internal/exec (where the legacy materializing evaluator
-// remains available as the equivalence oracle); pipeline owns how compiled
-// streams are driven, exchanged, and consumed.
+// semantics live in internal/exec (where the row-at-a-time materializing
+// evaluator remains available as the test oracle); pipeline owns how
+// compiled streams are driven and exchanged.
 package pipeline
 
 import (
@@ -132,14 +130,3 @@ var errAborted = errStr("pipeline: execution aborted")
 type errStr string
 
 func (e errStr) Error() string { return string(e) }
-
-// DecryptRows is the streaming counterpart of Executor.DecryptTable: it
-// returns a copy of the rows with every ciphertext decrypted using ex's
-// keys, leaving the input batch untouched (it may alias upstream storage).
-// Decryption runs on the executor's batched crypto path — ciphers grouped
-// by scheme and key, one batched call per group, large batches fanned out
-// to the crypto worker pool (or per value under the ValueCrypto oracle
-// knob).
-func DecryptRows(ex *exec.Executor, rows [][]exec.Value) ([][]exec.Value, error) {
-	return ex.DecryptRows(rows)
-}

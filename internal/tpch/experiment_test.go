@@ -10,7 +10,8 @@ import (
 //   - no query costs more under UAPenc or UAPmix than under UA (the
 //     provider-free assignment is always available);
 //   - total UAPenc savings are substantial (the paper reports 54.2%; our
-//     calibration lands in the 35–60% band, see EXPERIMENTS.md);
+//     calibration lands in the 35–60% band, see docs/BENCHMARKS.md,
+//     "Paper reproduction (tpchbench)");
 //   - UAPmix saves more than UAPenc overall (paper: 71.3%; band 55–80%);
 //   - the cumulative series are monotone.
 func TestCostExperimentShape(t *testing.T) {
@@ -89,7 +90,7 @@ func TestLIKEBoundQueriesExplained(t *testing.T) {
 	for _, row := range res.Rows {
 		if likeBound[row.Query] {
 			if row.Norm[UAPenc] < 0.999 {
-				t.Errorf("Q%d unexpectedly saved under UAPenc (%.3f): the LIKE analysis in EXPERIMENTS.md is stale",
+				t.Errorf("Q%d unexpectedly saved under UAPenc (%.3f): the LIKE analysis in docs/BENCHMARKS.md is stale",
 					row.Query, row.Norm[UAPenc])
 			}
 			if row.Norm[UAPmix] > 0.95 {

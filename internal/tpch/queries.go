@@ -5,7 +5,8 @@ package tpch
 // Restatements preserve each query's table access pattern, join graph, and
 // operator mix; constructs outside the fragment (subqueries, CASE
 // arithmetic, outer joins, DISTINCT counts) are simplified as documented in
-// EXPERIMENTS.md. Dates are day offsets from 1992-01-01.
+// docs/BENCHMARKS.md, "Paper reproduction (tpchbench)". Dates are day
+// offsets from 1992-01-01.
 type Query struct {
 	Num  int
 	Name string

@@ -21,7 +21,8 @@
 //	internal/crypto     deterministic/randomized AES, Paillier, OPE (batched, fixed-base precompute)
 //	internal/exec       execution engine, incl. computation over ciphertexts
 //	internal/dispatch   Figure 8 sub-queries, signed/sealed envelopes
-//	internal/distsim    distributed execution simulation (sequential + parallel runtimes)
+//	internal/distsim    distributed execution simulation (one streaming runtime)
+//	internal/oracle     test-only centralized reference for the runtime
 //	internal/engine     long-lived concurrent query service: plan cache, versioned authz
 //	internal/tpch       the §7 workload: schema, generator, 22 queries, scenarios
 //
