@@ -220,17 +220,23 @@ func TestPaillierRandomizerPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pk.PrecomputeRandomizers(32); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{32, 8} { // a second fill tops the pool up
+		if err := pk.PrecomputeRandomizers(n); err != nil {
+			t.Fatal(err)
+		}
 	}
-	<-pk.BackgroundRandomizers(8)
 	ms := make([]*big.Int, 48)
 	for i := range ms {
 		ms[i] = big.NewInt(int64(i - 20))
 	}
+	before := ReadStats()
 	cts, err := pk.EncryptBatch(ms) // drains the pool, then fixed-base
 	if err != nil {
 		t.Fatal(err)
+	}
+	after := ReadStats()
+	if hits, misses := after.PaillierPoolHits-before.PaillierPoolHits, after.PaillierPoolMisses-before.PaillierPoolMisses; hits != 40 || misses != 8 {
+		t.Errorf("pool served %d and missed %d of 48, want 40 and 8", hits, misses)
 	}
 	for i, m := range ms {
 		got, err := pk.Decrypt(cts[i])

@@ -147,7 +147,7 @@ func BenchmarkPaillierEncryptValue(b *testing.B) {
 }
 
 // BenchmarkPaillierEncryptBatch measures EncryptBatch with the fixed-base
-// table built (sustained batch throughput, empty randomizer pool).
+// tables built (sustained batch throughput, empty randomizer pool).
 func BenchmarkPaillierEncryptBatch(b *testing.B) {
 	pk, err := GeneratePaillier(benchPaillierBits)
 	if err != nil {
@@ -190,8 +190,8 @@ func BenchmarkPaillierEncryptPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkPaillierPrecompute measures the one-time fixed-base table
-// construction itself.
+// BenchmarkPaillierPrecompute measures the one-time construction of the
+// two CRT fixed-base tables from hn.
 func BenchmarkPaillierPrecompute(b *testing.B) {
 	pk, err := GeneratePaillier(benchPaillierBits)
 	if err != nil {
@@ -201,7 +201,7 @@ func BenchmarkPaillierPrecompute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newFixedBase(hn, pk.N2, pk.N.BitLen(), fixedBaseWindow)
+		newCRTRandomizer(pk.p, pk.q, hn, pk.N.BitLen())
 	}
 }
 

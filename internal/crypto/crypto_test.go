@@ -174,8 +174,16 @@ func TestPaillierPublicOnly(t *testing.T) {
 
 func TestPaillierMessageBounds(t *testing.T) {
 	pk, _ := GeneratePaillier(32)
+	before := ReadStats().PheEncrypts
 	if _, err := pk.Encrypt(pk.N); err == nil {
 		t.Errorf("oversized message accepted")
+	}
+	if _, err := pk.EncryptBatch([]*big.Int{big.NewInt(1), new(big.Int).Neg(pk.N)}); err == nil {
+		t.Errorf("oversized batch message accepted")
+	}
+	// Rejected messages were never encrypted, so they are not counted.
+	if d := ReadStats().PheEncrypts - before; d != 0 {
+		t.Errorf("rejected messages counted as %d encryptions", d)
 	}
 	if _, err := GeneratePaillier(8); err == nil {
 		t.Errorf("tiny prime size accepted")

@@ -16,6 +16,12 @@
 // bit-identical to the per-value calls; randomized and Paillier outputs
 // decrypt to the same plaintexts.
 //
+// Paillier randomizers of keys that know their factorization come from two
+// half-width fixed-base tables (mod p² and mod q²) multiplied by a
+// word-level Montgomery kernel and recombined by CRT; Paillier decryption
+// uses CRT too. Both are variable-time, like the math/big arithmetic they
+// build on.
+//
 // See docs/ARCHITECTURE.md at the repository root for how the crypto batch
 // path plugs into the columnar pipeline.
 package crypto

@@ -69,11 +69,7 @@ func UnmarshalKeyRing(data []byte) (*KeyRing, error) {
 		case (w.Lambda == nil) != (w.Mu == nil):
 			return nil, fmt.Errorf("crypto: unmarshaling key ring %s: partial Paillier private key", w.ID)
 		}
-		pk := &Paillier{
-			N:  w.N,
-			N2: new(big.Int).Mul(w.N, w.N),
-			G:  new(big.Int).Add(w.N, big.NewInt(1)),
-		}
+		pk := newPaillierPublic(w.N)
 		if w.Lambda != nil && w.Mu != nil {
 			// Both private scalars are < n for well-formed keys; bounding
 			// them keeps a hostile blob from smuggling a multi-megabit

@@ -16,9 +16,10 @@ import (
 // attributes.
 type Paillier struct {
 	// Public key.
-	N  *big.Int // n = p·q
-	N2 *big.Int // n²
-	G  *big.Int // g = n + 1
+	N    *big.Int // n = p·q
+	N2   *big.Int // n²
+	G    *big.Int // g = n + 1
+	half *big.Int // n/2, the exclusive bound on message magnitudes
 
 	// Private key (nil on a public-only copy).
 	lambda *big.Int // lcm(p-1, q-1)
@@ -36,7 +37,7 @@ type Paillier struct {
 	hp, hq     *big.Int // Lp(g^(p-1) mod p²)⁻¹ mod p and the q analogue
 	qInvP      *big.Int // q⁻¹ mod p (Garner recombination)
 
-	// Precomputation state (fixed-base randomizer table and pool), built
+	// Precomputation state (fixed-base randomizer tables and pool), built
 	// lazily; see paillier_precomp.go.
 	preMu sync.Mutex
 	pre   atomic.Pointer[paillierPrecomp]
@@ -69,12 +70,8 @@ func GeneratePaillier(bits int) (*Paillier, error) {
 		gcd := new(big.Int).GCD(nil, nil, p1, q1)
 		lambda := new(big.Int).Div(new(big.Int).Mul(p1, q1), gcd)
 
-		pk := &Paillier{
-			N:      n,
-			N2:     new(big.Int).Mul(n, n),
-			G:      new(big.Int).Add(n, big.NewInt(1)),
-			lambda: lambda,
-		}
+		pk := newPaillierPublic(n)
+		pk.lambda = lambda
 		// µ = (L(g^λ mod n²))⁻¹ mod n
 		u := new(big.Int).Exp(pk.G, lambda, pk.N2)
 		l := pk.lFunc(u)
@@ -87,6 +84,16 @@ func GeneratePaillier(bits int) (*Paillier, error) {
 			continue // degenerate pair; retry
 		}
 		return pk, nil
+	}
+}
+
+// newPaillierPublic returns the public key of modulus n.
+func newPaillierPublic(n *big.Int) *Paillier {
+	return &Paillier{
+		N:    n,
+		N2:   new(big.Int).Mul(n, n),
+		G:    new(big.Int).Add(n, big.NewInt(1)),
+		half: new(big.Int).Rsh(n, 1),
 	}
 }
 
@@ -115,7 +122,7 @@ func (p *Paillier) initCRT(pp, qq *big.Int) bool {
 // Public returns a copy of the key holding only the public part: it can
 // encrypt and add, but not decrypt.
 func (p *Paillier) Public() *Paillier {
-	return &Paillier{N: p.N, N2: p.N2, G: p.G}
+	return &Paillier{N: p.N, N2: p.N2, G: p.G, half: p.half}
 }
 
 // HasPrivate reports whether the key can decrypt.
@@ -140,23 +147,19 @@ func (p *Paillier) encodeSigned(m *big.Int) *big.Int {
 // Encrypt encrypts a signed integer message. The message magnitude must be
 // below n/2 for unambiguous signed decoding.
 func (p *Paillier) Encrypt(m *big.Int) (*big.Int, error) {
-	cryptoStats.pheEncrypts.Add(1)
-	half := new(big.Int).Rsh(p.N, 1)
-	if new(big.Int).Abs(m).Cmp(half) >= 0 {
-		return nil, fmt.Errorf("crypto: paillier: message magnitude exceeds n/2")
+	if err := p.checkMessage(m); err != nil {
+		return nil, err
 	}
 	// r^n mod n² for a fresh randomizer r: pooled/fixed-base when the key
 	// has been precomputed, else the textbook full-width exponentiation.
-	rn, err := p.randomizer()
+	var s encScratch
+	rn, err := p.randomizer(&s)
 	if err != nil {
 		return nil, err
 	}
-	// c = g^m · r^n mod n²; with g = n+1, g^m = 1 + m·n mod n².
-	gm := new(big.Int).Mul(p.encodeSigned(m), p.N)
-	gm.Add(gm, big.NewInt(1))
-	gm.Mod(gm, p.N2)
-	c := new(big.Int).Mul(gm, rn)
-	c.Mod(c, p.N2)
+	// c = g^m · r^n mod n².
+	c := p.mulGm(rn, m, &s)
+	cryptoStats.pheEncrypts.Add(1)
 	return c, nil
 }
 
@@ -177,8 +180,7 @@ func (p *Paillier) Decrypt(c *big.Int) (*big.Int, error) {
 		m.Mod(m, p.N)
 	}
 	// Decode signed representation.
-	half := new(big.Int).Rsh(p.N, 1)
-	if m.Cmp(half) > 0 {
+	if m.Cmp(p.half) > 0 {
 		m.Sub(m, p.N)
 	}
 	return m, nil

@@ -10,7 +10,9 @@ import (
 // textbookCopy strips the CRT state off a private key, forcing Decrypt onto
 // the single full-width exponentiation (the path legacy wire blobs use).
 func textbookCopy(p *Paillier) *Paillier {
-	return &Paillier{N: p.N, N2: p.N2, G: p.G, lambda: p.lambda, mu: p.mu}
+	tb := newPaillierPublic(p.N)
+	tb.lambda, tb.mu = p.lambda, p.mu
+	return tb
 }
 
 // TestPaillierCRTMatchesTextbook proves the CRT decryption is exactly
@@ -74,6 +76,33 @@ func TestPaillierWireCRTRoundTrip(t *testing.T) {
 	if err != nil || m.Int64() != -987654321 {
 		t.Fatalf("wire CRT decrypt = %v, %v", m, err)
 	}
+	// The unmarshaled ring builds the CRT randomizer tables, and its batch
+	// ciphertexts decrypt on both sides of the wire.
+	checkBatchRoundTrip(t, got.PK, kr.PK)
+	if pre := got.PK.pre.Load(); pre == nil || pre.crt == nil {
+		t.Fatal("wire ring with the factor built no CRT randomizer tables")
+	}
+}
+
+// checkBatchRoundTrip encrypts a batch large enough to precompute with enc
+// and decrypts every value with enc and with dec.
+func checkBatchRoundTrip(t *testing.T, enc, dec *Paillier) {
+	t.Helper()
+	ms := make([]*big.Int, 2*paillierBatchPrecompute)
+	for i := range ms {
+		ms[i] = big.NewInt(int64(i*i - 100))
+	}
+	cts, err := enc.EncryptBatch(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range ms {
+		for _, k := range []*Paillier{enc, dec} {
+			if got, err := k.Decrypt(cts[i]); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("Decrypt(batch[%d]) = %v, %v; want %v", i, got, err, m)
+			}
+		}
+	}
 }
 
 // TestPaillierLegacyBlobFallsBack decodes a blob without the factor field
@@ -108,6 +137,12 @@ func TestPaillierLegacyBlobFallsBack(t *testing.T) {
 	m, err := got.PK.Decrypt(c)
 	if err != nil || m.Int64() != 314159 {
 		t.Fatalf("legacy decrypt = %v, %v", m, err)
+	}
+	// Without the factor the key has no tables: batches encrypt on the
+	// textbook randomizer path and still decrypt.
+	checkBatchRoundTrip(t, got.PK, kr.PK)
+	if pre := got.PK.pre.Load(); pre == nil || pre.crt != nil {
+		t.Fatal("legacy ring built CRT randomizer tables")
 	}
 }
 
