@@ -16,14 +16,9 @@
 // spill volume recorded next to throughput. -partial adds a
 // batch-cached-partial cell with pre-shuffle partial aggregation (compare
 // bytes_per_query). -paillier-bits (alias -paillierbits) sizes the Paillier
-// primes and -cryptoworkers the intra-batch crypto worker pool. -planner
-// runs the planner-mode A/B sweep over the full 22-query workload: pure
-// planning time per query for cost, greedy, and fed (observed-override)
-// planning, plus closed-loop end-to-end cells per scenario × mode with the
-// adaptive re-plan count recorded next to throughput (-planner-scenarios
-// restricts the scenario list). Results are written as JSON
-// (BENCH_engine.json in the repo records the measured comparison;
-// docs/BENCHMARKS.md explains every cell).
+// primes and -cryptoworkers the intra-batch crypto worker pool. Results are
+// written as JSON (BENCH_engine.json in the repo records the measured
+// comparison; docs/BENCHMARKS.md explains every cell).
 //
 //	engbench -scenario UAPenc -sf 0.001 -duration 3s -clients 1,2 -workers 1,4 -membudget 65536 -interior -out BENCH_engine.json
 package main
@@ -45,7 +40,6 @@ import (
 	"mpq/internal/engine"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
-	"mpq/internal/sql"
 	"mpq/internal/tpch"
 )
 
@@ -100,14 +94,6 @@ type report struct {
 	// pipeline vs the row-at-a-time materializing oracle on plaintext
 	// tables, with no distribution, crypto, planning, or link simulation.
 	Interior []interiorCell `json:"interior,omitempty"`
-	// PlannerPlanTimes is the pure planning microbenchmark (-planner): mean
-	// time to optimize each workload query under every planner mode, no
-	// execution — the cost adaptive mode pays again on every re-plan.
-	PlannerPlanTimes []plannerPlanCell `json:"planner_plan_times,omitempty"`
-	// PlannerRuns is the end-to-end planner A/B (-planner): closed-loop
-	// throughput over the full 22-query mix per scenario × planner mode,
-	// with the number of adaptive re-plans observed during the window.
-	PlannerRuns []plannerRunCell `json:"planner_runs,omitempty"`
 	// Admission is the -concurrency overload sweep: q/s and rejection rate
 	// vs offered load with admission control capping in-flight queries.
 	Admission []admissionCell `json:"admission,omitempty"`
@@ -139,26 +125,6 @@ type interiorCell struct {
 	MeanMs float64 `json:"mean_ms"`
 }
 
-type plannerPlanCell struct {
-	Query int    `json:"query"`
-	Mode  string `json:"mode"` // "cost", "greedy", or "fed" (greedy + overrides)
-	Runs  int    `json:"runs"`
-	// PlanUs is the mean time to plan the query once, in microseconds.
-	PlanUs float64 `json:"plan_us"`
-}
-
-type plannerRunCell struct {
-	Scenario string  `json:"scenario"`
-	Mode     string  `json:"mode"` // engine PlannerMode: cost, greedy, adaptive
-	Clients  int     `json:"clients"`
-	Queries  uint64  `json:"queries"`
-	QPS      float64 `json:"qps"`
-	MeanMs   float64 `json:"mean_ms"`
-	// Replans counts cached plans re-optimized from observed cardinalities
-	// during warmup + measurement (adaptive mode only; 0 elsewhere).
-	Replans uint64 `json:"replans"`
-}
-
 func main() {
 	var (
 		scenario = flag.String("scenario", "UAPenc", "authorization scenario")
@@ -175,8 +141,6 @@ func main() {
 		dictF    = flag.Bool("dict", false, "also measure the cached batch pipeline with dictionary encoding forced off (batch-cached-nodict) next to the default policy (batch-cached-dict)")
 		explainF = flag.Bool("explain", false, "print the EXPLAIN ANALYZE tree of each benchmark query (batch pipeline, cached plans) before measuring")
 		interior = flag.Bool("interior", false, "also record the centralized interior microbenchmark (columnar vs row oracle)")
-		plannerF = flag.Bool("planner", false, "also record the planner-mode A/B sweep: plan-time per query for cost/greedy/fed planning, plus end-to-end cells per scenario for cost, greedy, and adaptive engines over the full 22-query workload")
-		plannerS = flag.String("planner-scenarios", "UA,UAPenc,UAPmix", "comma-separated scenario list for the -planner end-to-end cells")
 		budgetsF = flag.String("membudget", "", "comma-separated per-query memory budgets in bytes to sweep: each adds a batch-cached-mb<N> cell executing under that budget with grace-hash spilling to disk")
 		partialF = flag.Bool("partial", false, "also measure pre-shuffle partial aggregation (batch-cached-partial cell; compare bytes_per_query against batch-cached)")
 		concF    = flag.Int("concurrency", 0, "overload sweep: cap the engine at this many in-flight queries (queue the same, 100ms wait) and offer 1x/2x/4x closed-loop clients, recording q/s and rejection rate per offered load (0 = off)")
@@ -389,16 +353,6 @@ func main() {
 	if *interior {
 		rep.Interior = measureInterior(*sf, *seed, queryNums, *duration, workerCounts)
 	}
-	if *plannerF {
-		var scs []string
-		for _, s := range strings.Split(*plannerS, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				scs = append(scs, s)
-			}
-		}
-		rep.PlannerPlanTimes = measurePlanTimes(*sf)
-		rep.PlannerRuns = measurePlannerRuns(scs, *sf, *seed, *paillier, *cworkers, *batch, *duration, delay)
-	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -579,115 +533,6 @@ func measureInterior(sf float64, seed int64, nums []int, window time.Duration, w
 			meanMs := time.Since(start).Seconds() * 1000 / float64(runs)
 			out = append(out, interiorCell{Query: num, Config: mode.name, Runs: runs, MeanMs: meanMs})
 			log.Printf("interior %-10s Q%02d  %4d runs  %8.2f ms/run", mode.name, num, runs, meanMs)
-		}
-	}
-	return out
-}
-
-// measurePlanTimes times pure optimization — parse once, PlanWith in a
-// loop — for every workload query under the three planning variants:
-// FROM-order cost-based ("cost"), pattern-based greedy ("greedy"), and
-// greedy fed with cardinality overrides ("fed", the work an adaptive
-// re-plan performs; the overrides here pin every base relation to its
-// catalog row count, which exercises the cardinality-driven expansion
-// without needing a traced execution). Planning reads only the catalog, so
-// the numbers are scenario-independent.
-func measurePlanTimes(sf float64) []plannerPlanCell {
-	cat := tpch.Catalog(sf)
-	pl := planner.New(cat)
-	fed := planner.NewOverrides()
-	for _, name := range tpch.TableNames() {
-		fed.BaseRows[name] = cat.Relation(name).Rows
-	}
-	variants := []struct {
-		name string
-		opts planner.PlanOptions
-	}{
-		{"cost", planner.PlanOptions{}},
-		{"greedy", planner.PlanOptions{Mode: planner.ModeGreedy}},
-		{"fed", planner.PlanOptions{Mode: planner.ModeGreedy, Overrides: fed}},
-	}
-	const (
-		maxRuns   = 2000
-		perWindow = 20 * time.Millisecond
-	)
-	var out []plannerPlanCell
-	for _, q := range tpch.Queries() {
-		stmt, err := sql.Parse(q.SQL)
-		if err != nil {
-			log.Fatalf("engbench: planner Q%d: %v", q.Num, err)
-		}
-		for _, v := range variants {
-			if _, err := pl.PlanWith(stmt, v.opts); err != nil { // warmup + sanity
-				log.Fatalf("engbench: planner Q%d (%s): %v", q.Num, v.name, err)
-			}
-			runs := 0
-			start := time.Now()
-			for time.Since(start) < perWindow && runs < maxRuns {
-				if _, err := pl.PlanWith(stmt, v.opts); err != nil {
-					log.Fatalf("engbench: planner Q%d (%s): %v", q.Num, v.name, err)
-				}
-				runs++
-			}
-			us := time.Since(start).Seconds() * 1e6 / float64(runs)
-			out = append(out, plannerPlanCell{Query: q.Num, Mode: v.name, Runs: runs, PlanUs: us})
-		}
-	}
-	for _, v := range variants {
-		var sum float64
-		for _, c := range out {
-			if c.Mode == v.name {
-				sum += c.PlanUs
-			}
-		}
-		log.Printf("planner plan-time %-6s  %8.1f µs/query mean over %d queries", v.name, sum/float64(len(tpch.Queries())), len(tpch.Queries()))
-	}
-	return out
-}
-
-// measurePlannerRuns runs the end-to-end planner A/B: one engine per
-// scenario × planner mode, the full 22-query workload as the closed-loop
-// mix. Warmup submits every query twice — for adaptive engines the first
-// run traces observed cardinalities and the second triggers any re-plans —
-// so the measured window reflects each mode's steady state. The adaptive
-// cell reports how many cached plans were re-optimized in total.
-func measurePlannerRuns(scenarios []string, sf float64, seed int64, paillierBits, cworkers, batch int, window time.Duration, delay *distsim.LinkDelay) []plannerRunCell {
-	sqls := make([]string, 0, len(tpch.Queries()))
-	for _, q := range tpch.Queries() {
-		sqls = append(sqls, q.SQL)
-	}
-	var out []plannerRunCell
-	for _, sc := range scenarios {
-		for _, mode := range []string{engine.PlannerCost, engine.PlannerGreedy, engine.PlannerAdaptive} {
-			cfg := engine.TPCHConfig(tpch.Scenario(sc), sf, seed)
-			cfg.PaillierBits = paillierBits
-			cfg.CryptoWorkers = cworkers
-			cfg.BatchSize = batch
-			cfg.LinkDelay = delay
-			cfg.PlannerMode = mode
-			eng, err := engine.New(cfg)
-			if err != nil {
-				log.Fatalf("engbench: planner %s/%s: %v", sc, mode, err)
-			}
-			for pass := 0; pass < 2; pass++ { // trace, then re-plan
-				for _, s := range sqls {
-					if _, err := eng.Query(s); err != nil {
-						log.Fatalf("engbench: planner %s/%s warmup: %v", sc, mode, err)
-					}
-				}
-			}
-			res := run(eng, sqls, 1, window, false)
-			c := plannerRunCell{
-				Scenario: sc,
-				Mode:     mode,
-				Clients:  res.Clients,
-				Queries:  res.Queries,
-				QPS:      res.QPS,
-				MeanMs:   res.MeanMs,
-				Replans:  eng.Stats().Replans,
-			}
-			out = append(out, c)
-			log.Printf("planner %-6s %-6s  %7.2f q/s  %8.2f ms/query  %d replans", sc, mode, c.QPS, c.MeanMs, c.Replans)
 		}
 	}
 	return out

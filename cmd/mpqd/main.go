@@ -49,26 +49,25 @@ const maxBodyBytes = 1 << 20
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8399", "listen address")
-		scenario   = flag.String("scenario", "UAPenc", "authorization scenario: UA, UAPenc, or UAPmix")
-		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
-		seed       = flag.Int64("seed", 1, "data generator seed")
-		batchSize  = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
-		workers    = flag.Int("workers", 0, "morsel worker pool size per fragment (0 or 1 = single-threaded)")
-		cacheSize  = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
-		paillier   = flag.Int("paillier-bits", crypto.DefaultPaillierBits, "Paillier prime size in bits")
-		rtt        = flag.Duration("rtt", 0, "simulated inter-subject link RTT (0 disables)")
-		mbps       = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
-		memBudget  = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
-		spillDir   = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
-		partial    = flag.Bool("partial", false, "fold pre-shuffle partial aggregates at producing subjects")
-		plannerMod = flag.String("planner", "", "planner mode: cost (default), greedy, or adaptive (greedy + re-optimization of cached plans from observed cardinalities)")
-		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
-		timeout    = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
-		maxConc    = flag.Int("max-concurrent", 0, "in-flight query cap; overloads get 429/503 instead of queueing unboundedly (0 = unlimited)")
-		maxQueue   = flag.Int("max-queue", 0, "admission wait-queue length beyond the in-flight cap (with -max-concurrent)")
-		queueWait  = flag.Duration("queue-wait", 0, "how long a capped query may wait for a slot before 503 (0 = default)")
-		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
+		addr      = flag.String("addr", ":8399", "listen address")
+		scenario  = flag.String("scenario", "UAPenc", "authorization scenario: UA, UAPenc, or UAPmix")
+		sf        = flag.Float64("sf", 0.01, "TPC-H scale factor")
+		seed      = flag.Int64("seed", 1, "data generator seed")
+		batchSize = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
+		workers   = flag.Int("workers", 0, "morsel worker pool size per fragment (0 or 1 = single-threaded)")
+		cacheSize = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
+		paillier  = flag.Int("paillier-bits", crypto.DefaultPaillierBits, "Paillier prime size in bits")
+		rtt       = flag.Duration("rtt", 0, "simulated inter-subject link RTT (0 disables)")
+		mbps      = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
+		memBudget = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
+		spillDir  = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
+		partial   = flag.Bool("partial", false, "fold pre-shuffle partial aggregates at producing subjects")
+		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
+		timeout   = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
+		maxConc   = flag.Int("max-concurrent", 0, "in-flight query cap; overloads get 429/503 instead of queueing unboundedly (0 = unlimited)")
+		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue length beyond the in-flight cap (with -max-concurrent)")
+		queueWait = flag.Duration("queue-wait", 0, "how long a capped query may wait for a slot before 503 (0 = default)")
+		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
 	)
 	flag.Parse()
 
@@ -89,7 +88,6 @@ func main() {
 	cfg.MemBudget = *memBudget
 	cfg.SpillDir = *spillDir
 	cfg.PartialShuffle = *partial
-	cfg.PlannerMode = *plannerMod
 	cfg.QueryTimeout = *timeout
 	cfg.MaxConcurrent = *maxConc
 	cfg.MaxQueue = *maxQueue

@@ -192,7 +192,7 @@ func TestPaillierBatchDecryptIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !pk.Precomputed() {
-		t.Fatalf("batch of %d did not build the fixed-base table", len(ms))
+		t.Fatalf("batch of %d did not build the CRT fixed-base tables", len(ms))
 	}
 	for i, m := range ms {
 		got, err := pk.Decrypt(cts[i])

@@ -107,31 +107,7 @@ type Config struct {
 	// Faults arms the fault-injection harness on every prepared network
 	// (chaos tests only; see distsim.Faults). Nil in production.
 	Faults *distsim.Faults
-	// PlannerMode selects the join-ordering strategy: PlannerCost
-	// (default) plans left-deep in FROM order with textbook selectivity
-	// estimation; PlannerGreedy orders joins greedily from predicate
-	// patterns without trusting statistics; PlannerAdaptive plans greedily
-	// and additionally re-optimizes cached plans whose estimates diverge
-	// from observed cardinalities (see ReplanErrorFactor).
-	PlannerMode string
-	// ReplanErrorFactor is the q-error threshold of adaptive mode: a
-	// cache hit whose worst per-node estimate-vs-observed factor exceeds
-	// it is re-planned with the observed cardinalities injected as
-	// estimator overrides. 0 means the default (4); negative disables
-	// re-planning while keeping greedy planning.
-	ReplanErrorFactor float64
-	// ReplanMinRows ignores nodes where both the estimate and the
-	// observation fall below it when computing the re-plan trigger
-	// (small absolute misestimates are noise). 0 means the default (64).
-	ReplanMinRows float64
 }
-
-// Planner modes for Config.PlannerMode.
-const (
-	PlannerCost     = "cost"
-	PlannerGreedy   = "greedy"
-	PlannerAdaptive = "adaptive"
-)
 
 const defaultCacheSize = 256
 
@@ -173,12 +149,6 @@ func New(cfg Config) (*Engine, error) {
 	case len(cfg.Subjects) == 0:
 		return nil, fmt.Errorf("engine: config needs candidate subjects")
 	}
-	switch cfg.PlannerMode {
-	case "", PlannerCost, PlannerGreedy, PlannerAdaptive:
-	default:
-		return nil, fmt.Errorf("engine: unknown planner mode %q (want %s, %s, or %s)",
-			cfg.PlannerMode, PlannerCost, PlannerGreedy, PlannerAdaptive)
-	}
 	if cfg.PaillierBits == 0 {
 		cfg.PaillierBits = crypto.DefaultPaillierBits
 	}
@@ -211,22 +181,6 @@ type preparedQuery struct {
 	keys      *crypto.KeyStore // full rings, for user-side finalization
 	consts    exec.ConstCache
 	executors []authz.Subject // distinct assignees, sorted
-
-	// observed holds the per-node output cardinalities measured by the most
-	// recent traced run of this plan (Explain or a trace-enabled query),
-	// stored alongside the cached plan as the feedback hook for
-	// cardinality-informed re-optimization: a later planning pass can compare
-	// each node's algebra.Stats estimate against what execution actually saw.
-	observed atomic.Pointer[map[algebra.Node]int64]
-
-	// replanGen counts how many times this cache slot has been
-	// re-optimized with observed cardinalities; it is carried forward on
-	// every swap and capped (maxReplanGen) so oscillating estimates can
-	// never ping-pong the cache. replanning serializes re-plans of one
-	// entry: concurrent hits on a diverged plan elect a single re-planner
-	// and everyone else keeps executing the current plan.
-	replanGen  int
-	replanning atomic.Bool
 
 	// paillierPKs are the distinct Paillier public keys the plan encrypts
 	// under, collected at preparation. A cache hit means this exact plan is
@@ -290,32 +244,6 @@ func paillierKeysOf(root algebra.Node, keys *crypto.KeyStore) []*crypto.Paillier
 	}
 	walk(root)
 	return pks
-}
-
-// recordObserved stores the actual output cardinality of every extended-plan
-// node that carries a span in tr.
-func (pq *preparedQuery) recordObserved(tr *obs.Trace) {
-	m := make(map[algebra.Node]int64)
-	var walk func(n algebra.Node)
-	walk = func(n algebra.Node) {
-		if sp := tr.ByRef(n); sp != nil {
-			m[n] = sp.Rows()
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(pq.result.Extended.Root)
-	pq.observed.Store(&m)
-}
-
-// observedRows returns the cardinalities of the last traced run, or nil if
-// the plan has never run traced.
-func (pq *preparedQuery) observedRows() map[algebra.Node]int64 {
-	if p := pq.observed.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Response is the outcome of one query.
@@ -386,9 +314,8 @@ func (e *Engine) QueryCtx(ctx context.Context, query string) (*Response, error) 
 // completes every root batch user-side in the sink (see finisher). yield
 // receives the finished rows; a nil yield collects them into
 // Response.Table. When tr is non-nil the run executes traced (every
-// compiled operator wrapped in a span, every cross-subject edge recorded)
-// and the observed cardinalities are stored on the prepared plan, which is
-// returned for Explain.
+// compiled operator wrapped in a span, every cross-subject edge recorded);
+// the prepared plan is returned for Explain.
 //
 // The execute and finalize phase histograms are disjoint: finalize is the
 // time spent decrypting, ordering, and projecting (in the sink and after
@@ -419,13 +346,6 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace, yield f
 	if err != nil {
 		e.met.errors.Inc()
 		return nil, nil, err
-	}
-	if tr == nil && e.adaptive() && pq.observedRows() == nil {
-		// Adaptive mode self-seeds its feedback: the first run of every
-		// prepared plan executes traced so the observed cardinalities
-		// exist by the first cache hit, without requiring callers to use
-		// Explain or ?trace=1.
-		tr = obs.NewTrace()
 	}
 	if hit {
 		e.met.hits.Inc()
@@ -480,9 +400,6 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace, yield f
 		return nil, nil, err
 	}
 	runTime := time.Since(execStart)
-	if tr != nil {
-		pq.recordObserved(tr)
-	}
 	postStart := time.Now()
 	if err := fin.flush(e.cfg.BatchSize); err != nil {
 		e.met.errors.Inc()
@@ -531,10 +448,10 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 		version := e.policy.Version()
 		if pq := e.cache.get(fp, version); pq != nil {
 			e.mu.RUnlock()
-			return e.maybeReplan(stmt, fp, pq), true, nil
+			return pq, true, nil
 		}
 		if attempt >= maxOptimisticPrepares {
-			pq, err := e.prepare(stmt, version, e.policy, e.planOpts(nil))
+			pq, err := e.prepare(stmt, version, e.policy)
 			if err == nil {
 				e.cache.put(fp, pq)
 			}
@@ -544,7 +461,7 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 		snap := e.policy.Clone()
 		e.mu.RUnlock()
 
-		pq, err := e.prepare(stmt, version, snap, e.planOpts(nil))
+		pq, err := e.prepare(stmt, version, snap)
 
 		e.mu.RLock()
 		current := e.policy.Version()
@@ -564,12 +481,12 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 // prepare runs the full paper pipeline for one parsed statement against pol
 // (a consistent snapshot of — or, under the read lock, the live —
 // authorization state at the given version).
-func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer, opts planner.PlanOptions) (*preparedQuery, error) {
+func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer) (*preparedQuery, error) {
 	sys := core.NewSystem(pol, e.cfg.Subjects...)
 	sys.Caps = e.sys.Caps
 	sys.Types = e.sys.Types
 	planStart := time.Now()
-	plan, err := e.planner.PlanWith(stmt, opts)
+	plan, err := e.planner.PlanWith(stmt, planner.PlanOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -683,7 +600,6 @@ type Stats struct {
 	CacheMisses   uint64 `json:"cache_misses"`
 	Errors        uint64 `json:"errors"`
 	Invalidations uint64 `json:"invalidations"`
-	Replans       uint64 `json:"replans"`
 	Transfers     uint64 `json:"transfers"`
 	BytesShipped  uint64 `json:"bytes_shipped"`
 	CachedPlans   int    `json:"cached_plans"`
@@ -700,7 +616,6 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:   e.met.misses.Value(),
 		Errors:        e.met.errors.Value(),
 		Invalidations: e.met.invalidations.Value(),
-		Replans:       e.met.replans.Value(),
 		Transfers:     e.met.transfers.Value(),
 		BytesShipped:  e.met.bytesShipped.Value(),
 		CachedPlans:   e.cache.len(),

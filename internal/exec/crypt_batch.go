@@ -103,8 +103,8 @@ func encryptColumnPar(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme, 
 	minChunk := cryptoParMinCells
 	if scheme == algebra.SchemePaillier {
 		minChunk = cryptoParMinPaillier
-		// Build the fixed-base table once, outside the pool, so chunks
-		// never race to construct it back to back.
+		// Build the two CRT fixed-base tables once, outside the pool, so
+		// chunks never race to construct them back to back.
 		if len(vals) >= minChunk && ring.PK != nil {
 			if err := ring.PK.Precompute(); err != nil {
 				return err

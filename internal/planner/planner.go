@@ -166,26 +166,33 @@ func (b *binding) toPred(e sql.Expr) (algebra.Pred, error) {
 	return nil, fmt.Errorf("planner: unsupported expression %T", e)
 }
 
-// Plan builds the algebra plan for a parsed statement using the default
-// cost-based strategy (ModeCost, no overrides).
+// Mode names a join-ordering strategy. Cost is the only one.
+type Mode string
+
+// ModeCost is the classical strategy: a left-deep join tree in FROM order
+// with textbook System R selectivity estimation. It matches the plans the
+// paper's tool consumed from PostgreSQL.
+const ModeCost Mode = "cost"
+
+// PlanOptions parameterizes one planning pass. Cost is the only mode, so
+// the zero value and ModeCost plan identically.
+type PlanOptions struct {
+	Mode Mode
+}
+
+// Plan builds the algebra plan for a parsed statement.
 func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
 	return p.PlanWith(stmt, PlanOptions{})
 }
 
 // PlanWith builds the algebra plan for a parsed statement under explicit
-// planning options: the join-ordering mode and, optionally, observed
-// cardinality overrides feeding the estimator.
+// planning options.
 func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error) {
-	greedy := opts.Mode == ModeGreedy
-	cat := p.Catalog
-	if opts.Overrides != nil && len(opts.Overrides.BaseRows) > 0 {
-		cat = cat.WithRowOverrides(opts.Overrides.BaseRows)
-	}
-	b, err := bindStmt(cat, stmt)
+	b, err := bindStmt(p.Catalog, stmt)
 	if err != nil {
 		return nil, err
 	}
-	est := newEstimator(cat, opts.Overrides)
+	est := &estimator{cat: p.Catalog}
 
 	// Resolve all predicate sources.
 	where, err := b.toPred(stmt.Where)
@@ -329,10 +336,13 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 	// conjuncts, and residual conjuncts.
 	var relConj = make(map[string][]algebra.Pred)
 	var joinConj, residual []algebra.Pred
-	classify := func(c algebra.Pred) {
+	for _, c := range algebra.Conjuncts(where) {
+		if aggRefs(c) {
+			return nil, fmt.Errorf("planner: aggregate in WHERE clause")
+		}
 		rels := relationsOf(c)
 		switch {
-		case len(rels) == 1 && isPushable(c):
+		case len(rels) == 1:
 			for r := range rels {
 				relConj[r] = append(relConj[r], c)
 			}
@@ -340,27 +350,6 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 			joinConj = append(joinConj, c)
 		default:
 			residual = append(residual, c)
-		}
-	}
-	for _, c := range algebra.Conjuncts(where) {
-		if aggRefs(c) {
-			return nil, fmt.Errorf("planner: aggregate in WHERE clause")
-		}
-		classify(c)
-	}
-	if greedy {
-		// Greedy ordering detaches ON conditions from their FROM
-		// positions: their conjuncts join the shared pools (pushable
-		// ones reach the scans, join conjuncts attach at whichever join
-		// first makes them evaluable) so the order is free to deviate
-		// from the statement. Inner-join semantics make this
-		// equivalence-preserving: every conjunct is still applied
-		// exactly once, at or above the point its attributes meet.
-		for i, on := range joinOn {
-			for _, c := range algebra.Conjuncts(on) {
-				classify(c)
-			}
-			joinOn[i] = nil
 		}
 	}
 
@@ -385,18 +374,12 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 		scans[rel.Name] = n
 	}
 
-	// Left-deep join tree: FROM order under ModeCost, greedy
-	// pattern-based order under ModeGreedy.
-	order := b.inOrder
-	if greedy {
-		order = greedyOrder(b.inOrder, scans, relConj, joinConj,
-			!opts.Overrides.Empty(), est)
-	}
-	cur := scans[order[0].Name]
+	// Left-deep join tree in FROM order.
+	cur := scans[b.inOrder[0].Name]
 	joined := algebra.NewAttrSet(cur.Schema()...)
 	pendingJoin := append([]algebra.Pred{}, joinConj...)
-	for i := 1; i < len(order); i++ {
-		rel := order[i]
+	for i := 1; i < len(b.inOrder); i++ {
+		rel := b.inOrder[i]
 		right := scans[rel.Name]
 		available := joined.Union(algebra.NewAttrSet(right.Schema()...))
 		var conds []algebra.Pred
@@ -530,10 +513,6 @@ func relationsOf(p algebra.Pred) map[string]struct{} {
 	}
 	return out
 }
-
-// isPushable reports whether a conjunct can be evaluated on a single scan
-// (no aggregates).
-func isPushable(p algebra.Pred) bool { return !aggRefs(p) }
 
 // aggRefs reports whether the predicate references an aggregate.
 func aggRefs(p algebra.Pred) bool {
